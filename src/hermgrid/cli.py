@@ -76,6 +76,14 @@ def _load_poly(path):
         raise CliError(f"{path}: {e}", EXIT_INPUT)
 
 
+def _max_residual(residuals):
+    """Largest residual as a float; NaN if any residual is NaN, where
+    `max` and `>` would silently skip it."""
+    import numpy as np
+
+    return float(np.max([float(r) for r in residuals], initial=0.0))
+
+
 def _write_json(payload, path):
     text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
     if path is None or path == "-":
@@ -91,13 +99,10 @@ def cmd_build(args):
 
     data = _load_data(args.data)
     f = interpolate(data, validate=False)
-    worst = 0
-    for idx in data.grid.point_indices():
-        a = data.grid.coords(idx)
-        for k in enumerate_box(data.grid.order_box(idx)):
-            r = abs(f.derivative(a, k) - data.value(idx, k))
-            if r > worst:
-                worst = r
+    worst = _max_residual(
+        abs(f.derivative(data.grid.coords(idx), k) - data.value(idx, k))
+        for idx in data.grid.point_indices()
+        for k in enumerate_box(data.grid.order_box(idx)))
     form = args.form or ("expanded" if f.max_degree <= 15 else "factored")
     try:
         record = f.to_json_dict(form=form)
@@ -107,7 +112,7 @@ def cmd_build(args):
     payload = {
         "interpolant": record,
         "validation": {
-            "max_residual": float(worst),
+            "max_residual": worst,
             "exact": f.exact,
             "conditions": data.grid.condition_count(),
             "max_degree": f.max_degree,
@@ -266,7 +271,7 @@ def cmd_verify(args):
         spl = SplineInterpolant(data, window)
         cont = {}
         for ax_i, ax in enumerate(grid.axes):
-            worst = {}
+            per_order = {}
             for j in range(1, ax.npoints - 1):
                 try:
                     gaps = continuity_report(spl, ax_i, j, probes=args.probes,
@@ -274,26 +279,24 @@ def cmd_verify(args):
                 except ValueError:
                     continue
                 for order, g in enumerate(gaps):
-                    g = float(g)
-                    worst[order] = max(worst.get(order, 0.0), g)
-            if worst:
-                gaps = [worst[o] for o in sorted(worst)]
+                    per_order.setdefault(order, []).append(g)
+            if per_order:
+                gaps = [_max_residual(per_order[o]) for o in sorted(per_order)]
                 cont[f"axis{ax_i + 1}"] = gaps
                 # every reported order is one the shared conditions guarantee
-                if any(g > 1e-9 for g in gaps):
+                if any(not g <= 1e-9 for g in gaps):
                     failed = True
         report["continuity_max_gap_per_order"] = cont
     else:
         f = interpolate(data, validate=False)
-        worst = 0.0
-        for idx in grid.point_indices():
-            a = grid.coords(idx)
-            for k in enumerate_box(grid.order_box(idx)):
-                r = abs(float(f.derivative(a, k)) - float(data.value(idx, k)))
-                worst = max(worst, r)
+        worst = _max_residual(
+            abs(float(f.derivative(grid.coords(idx), k))
+                - float(data.value(idx, k)))
+            for idx in grid.point_indices()
+            for k in enumerate_box(grid.order_box(idx)))
         report["max_condition_residual"] = worst
         tol = 0.0 if f.exact else 1e-9
-        failed = worst > tol
+        failed = not worst <= tol
     report["pass"] = not failed
     _write_json(report, args.out)
     return EXIT_VALIDATION if failed else EXIT_OK

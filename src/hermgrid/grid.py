@@ -25,9 +25,16 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isfinite
+
+import numpy as np
 
 from .multiindex import order_box, enumerate_box
 from .polyring import UniPoly, is_exact, parse_coefficient
+
+
+def _nonfinite(v):
+    return isinstance(v, float) and not isfinite(v)
 
 
 @dataclass(frozen=True)
@@ -50,7 +57,9 @@ class Axis:
         out = []
         if len(self.coords) != len(self.mult):
             out.append(f"{label}: coords/mult length mismatch")
-        if len(set(self.coords)) != len(self.coords):
+        if any(_nonfinite(c) for c in self.coords):
+            out.append(f"{label}: non-finite coordinate")
+        elif len(set(self.coords)) != len(self.coords):
             out.append(f"{label}: duplicate coordinate")
         elif any(a >= b for a, b in zip(self.coords, self.coords[1:])):
             out.append(f"{label}: coordinates not increasing")
@@ -207,6 +216,9 @@ class HermiteData:
             missing = maxbox - set(self.tensors)
             for k in sorted(missing):
                 out.append(f"dense data: missing order tensor {k}")
+            for k in sorted(maxbox & set(self.tensors)):
+                if not np.isfinite(self.tensors[k]).all():
+                    out.append(f"dense data: non-finite value in order {k}")
             return out
         seen = set()
         for idx, entries in self.points.items():
@@ -220,6 +232,8 @@ class HermiteData:
                 out.append(f"point {idx}: missing {k}")
             for k in sorted(keys - box):
                 out.append(f"point {idx}: extra {k}")
+            for k in sorted(k for k, v in entries.items() if _nonfinite(v)):
+                out.append(f"point {idx}: non-finite value at {k}")
         for idx in self.grid.point_indices():
             if idx not in seen:
                 out.append(f"point {idx}: absent")

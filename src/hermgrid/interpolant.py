@@ -268,6 +268,24 @@ def _slot_values_batch(axis, xs):
     return np.stack(cols, axis=-1)
 
 
+def _cardinal_weights(axis, lams, xs):
+    """Per-axis cardinal weights at a float vector of abscissas:
+    (len(xs), m), row c = L^-T s(x) with L the block diagonal of `lams`
+    (float `axis_lambda` blocks) and s the slot values.  The interpolant
+    at x is the condition tensor contracted with one such row per axis,
+    since Xi = (L_1^-1 x ... x L_n^-1) T.  Back substitution block by
+    block, the transpose of `_solve_along_axis`, so at a node the row is
+    exactly one-hot."""
+    c = _slot_values_batch(axis, xs)
+    for off, mj, lam in zip(axis.slot_offsets(), axis.mult, lams):
+        for r in range(mj - 2, -1, -1):
+            col = c[:, off + r]
+            for q in range(r + 1, mj):
+                col = col - lam[q][r] * c[:, off + q]
+            c[:, off + r] = col
+    return c
+
+
 def _slot_jets(axis, x, order, exact):
     """Taylor coefficients (not derivatives) of every slot function at x,
     truncated after `order`; list over slots of length order+1 lists."""

@@ -25,7 +25,7 @@ dividend as a polynomial in that axis with polynomial coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, isfinite
 
 from .multiindex import leq_partial
 
@@ -327,12 +327,16 @@ class MultiPoly:
 
 
 def parse_coefficient(c):
-    """JSON coefficient: a number, or a 'p/q' / decimal string (exact)."""
+    """JSON coefficient: a number, or a 'p/q' / decimal string (exact).
+    NaN and infinities are refused."""
     if isinstance(c, str):
         return Fraction(c)
     if isinstance(c, int):
         return c
-    return float(c)
+    v = float(c)
+    if not isfinite(v):
+        raise ValueError(f"non-finite coefficient {v!r}")
+    return v
 
 
 def _horner(node, x):

@@ -1,9 +1,14 @@
 """Piecewise (spline) evaluation: small sliding windows of a large grid.
 
 Instead of one global interpolant of enormous degree, pick per query
-point a window of w_i nodes along each axis, build the local interpolant
-of the window sub-grid, and evaluate that.  Locals are cached by window
-corner, so a sweep over many queries builds each local polynomial once.
+point a window of w_i nodes along each axis and evaluate the local
+interpolant of the window sub-grid.  Scalar, exact and derivative
+queries build that local (cached by window corner).  Binary64 batches
+build none: the local Lambda solve factors per axis, so the local value
+at x is the window's block of the full condition tensor contracted with
+one cardinal weight vector per axis.  `eval_many` selects windows per
+axis for the whole batch, computes weights once per distinct window
+start, and gathers and contracts the blocks in chunks of bounded size.
 
 Window selection per axis:
 
@@ -12,7 +17,8 @@ Window selection per axis:
   round(q) - (w-1)/2; an even window takes the containing cell plus
   equal numbers of nodes outward, start = floor(q) - w/2 + 1.
 * general axes: the w nodes nearest to x, resolved greedily outward from
-  the containing cell, distance ties preferring the lower node.
+  the containing cell, distance ties preferring the lower node.  Exact x
+  on exact coordinates compares distances exactly, otherwise in float.
 * the chosen range is shifted (never shrunk) back inside the axis when
   it overhangs an end; queries outside the hull get the edge window.
 
@@ -27,12 +33,18 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import floor
+from math import floor, prod
 
 import numpy as np
 
+from . import interpolant
+from .grid import Axis
 from .interpolant import interpolate
 from .polyring import is_exact
+
+# byte budget of one gathered block of windows in `eval_many`; the query
+# chunk is sized from it so memory stays flat in the batch size
+_GATHER_BYTES = 1 << 22
 
 
 def _round_half_away(q):
@@ -55,8 +67,9 @@ def window_start(axis, w, x):
         else:
             start = floor(q) - w // 2 + 1
     else:
-        xf = float(x)
-        coords = [float(c) for c in axis.coords]
+        exact = is_exact(x) and all(is_exact(c) for c in axis.coords)
+        xf = x if exact else float(x)
+        coords = list(axis.coords) if exact else [float(c) for c in axis.coords]
         # grow the nearest-node run outward from the containing cell
         hi = 0
         while hi < n and coords[hi] < xf:
@@ -73,6 +86,38 @@ def window_start(axis, w, x):
                 hi += 1
         start = lo + 1
     return min(max(start, 0), n - w)
+
+
+def window_starts(axis, w, xs):
+    """`window_start` of every float abscissa in xs, vectorised with the
+    same float operations, so each start is the one `window_start`
+    returns for that float."""
+    n = axis.npoints
+    if w > n:
+        raise ValueError(f"window {w} exceeds axis size {n}")
+    xs = np.asarray(xs, dtype=float)
+    if not np.isfinite(xs).all():
+        raise ValueError("window selection needs finite abscissas")
+    if axis.is_uniform() and n > 1:
+        h = axis.coords[1] - axis.coords[0]
+        q = (xs - float(axis.coords[0])) / float(h)
+        if w % 2:
+            rounded = np.where(q >= 0, np.floor(q + 0.5), -np.floor(-q + 0.5))
+            start = rounded - (w - 1) // 2
+        else:
+            start = np.floor(q) - w // 2 + 1
+    else:
+        coords = np.array([float(c) for c in axis.coords])
+        hi = np.searchsorted(coords, xs, side="left")
+        lo = hi - 1
+        for _ in range(w):
+            below = xs - coords[np.maximum(lo, 0)]
+            above = coords[np.minimum(hi, n - 1)] - xs
+            down = (lo >= 0) & ((hi >= n) | (below <= above))
+            lo = np.where(down, lo - 1, lo)
+            hi = np.where(down, hi, hi + 1)
+        start = lo + 1
+    return np.clip(start, 0, n - w).astype(np.intp)
 
 
 def axis_seams(axis, w):
@@ -103,6 +148,8 @@ class SplineInterpolant:
         self.data = data
         self.grid = grid
         self._cache = {}
+        self._tensor = None  # float condition tensor, built on first batch
+        self._windows = {}  # (axis, start) -> window sub-axis, float blocks
 
     def select_window(self, x):
         return tuple(
@@ -124,18 +171,69 @@ class SplineInterpolant:
     def derivative(self, x, k):
         return self.local(self.select_window(x)).derivative(x, k)
 
+    def _window_axis(self, i, s):
+        """Sub-axis of the window starting at node s of axis i, with its
+        Lambda blocks in float."""
+        out = self._windows.get((i, s))
+        if out is None:
+            ax, w = self.grid.axes[i], self.window[i]
+            sub = Axis(ax.coords[s:s + w], ax.mult[s:s + w])
+            lams = [[[float(v) for v in row]
+                     for row in interpolant.axis_lambda(sub, j)]
+                    for j in range(w)]
+            out = self._windows[(i, s)] = (sub, lams)
+        return out
+
     def eval_many(self, pts):
-        """Binary64 evaluation at an (npoints, n) array, grouped by
-        window so each local is contracted against its whole batch."""
+        """Binary64 evaluation at an (npoints, n) array.
+
+        Per axis: the window start of every query, then its cardinal
+        weights, computed once per distinct start (zero-padded to the
+        widest window of the batch).  Each query's window block of the
+        condition tensor is gathered by fancy indexing and contracted
+        with its weights, axis by axis, in chunks of at most
+        `_GATHER_BYTES`."""
         pts = np.asarray(pts, dtype=float)
         if pts.ndim == 1:
             pts = pts[None, :]
-        groups = {}
-        for row, x in enumerate(pts):
-            groups.setdefault(self.select_window(tuple(x)), []).append(row)
+        if pts.shape[1] != self.grid.n:
+            raise ValueError("point dimension mismatch")
+        if not len(pts):
+            return np.empty(0)
+        if self._tensor is None:
+            self._tensor = np.asarray(interpolant.condition_tensor(self.data),
+                                      dtype=float)
+        slots, weights = [], []
+        for i, (ax, w) in enumerate(zip(self.grid.axes, self.window)):
+            starts = window_starts(ax, w, pts[:, i])
+            used, which = np.unique(starts, return_inverse=True)
+            subs = [self._window_axis(i, int(s)) for s in used]
+            counts = np.array([sub.condition_count for sub, _ in subs])
+            c = np.zeros((len(pts), counts.max()))
+            for u, (sub, lams) in enumerate(subs):
+                rows = np.flatnonzero(which == u)
+                c[rows, :counts[u]] = interpolant._cardinal_weights(
+                    sub, lams, pts[rows, i])
+            weights.append(c)
+            # first slot and slot count of each query's window
+            slots.append((np.array(ax.slot_offsets())[starts], counts[which]))
+        sizes = [c.shape[1] for c in weights]
+        chunk = max(1, _GATHER_BYTES // (8 * prod(sizes)))
         out = np.empty(len(pts))
-        for corner, rows in groups.items():
-            out[rows] = self.local(corner).eval_many(pts[rows])
+        for lo in range(0, len(pts), chunk):
+            sl = slice(lo, lo + chunk)
+            index = []
+            for i, ((first, count), m) in enumerate(zip(slots, sizes)):
+                # padded slots (zero weight) repeat the window's last slot,
+                # so no value from outside the window enters the sum
+                ix = first[sl, None] + np.minimum(np.arange(m), count[sl, None] - 1)
+                index.append(ix.reshape([-1] + [m if j == i else 1
+                                                for j in range(len(sizes))]))
+            block = self._tensor[tuple(index)]
+            for c in reversed(weights):
+                block = np.matmul(block.reshape(len(block), -1, c.shape[1]),
+                                  c[sl, :, None])
+            out[sl] = block.reshape(-1)
         return out
 
 

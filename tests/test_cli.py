@@ -251,6 +251,29 @@ def test_verify_fails_on_unresolvable_float_data(tmp_path, capsys):
     assert report["max_condition_residual"] > 1e-3
 
 
+def test_nan_data_is_an_input_error(tmp_path, capsys):
+    # json writes NaN as a bare literal, which json.load reads back
+    grid = GridSpec((Axis((0.0, 1.0, 2.0)),))
+    vals = iter([1.0, float("nan"), 3.0])
+    nan = tmp_path / "nan.json"
+    dump_hgrid(HermiteData(grid, points={
+        idx: {(0,): next(vals)} for idx in grid.point_indices()}), str(nan))
+    assert "NaN" in nan.read_text()
+    for command in ("verify", "build"):
+        rc, out, err = run_cli(capsys, [command, str(nan)])
+        assert rc == 2, command
+        assert out == ""
+        assert "non-finite" in err
+
+
+def test_max_residual_propagates_nan():
+    from hermgrid.cli import _max_residual
+
+    assert _max_residual([F(1, 4), 0.5, 0.0]) == 0.5
+    assert math.isnan(_max_residual([0.0, float("nan"), 1.0]))
+    assert math.isnan(_max_residual([float("nan"), 1.0]))
+
+
 def test_verify_continuity_reports_guaranteed_orders(tmp_path, capsys):
     rc, out, _ = run_cli(capsys, ["verify", seven_file(tmp_path, 3),
                                   "--continuity", "--window", "4"])

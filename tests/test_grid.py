@@ -33,6 +33,7 @@ def test_axis_violations():
     assert Axis((0, 2, 1)).violations("a") == ["a: coordinates not increasing"]
     assert Axis((0, 1), (1, 0)).violations("a") == ["a: multiplicity below 1"]
     assert "coords/mult length mismatch" in Axis((0, 1), (1, 1, 1)).violations()[0]
+    assert Axis((0, float("nan"), 1)).violations("a") == ["a: non-finite coordinate"]
 
 
 def test_validate_complete_data_ok():
@@ -64,6 +65,31 @@ def test_validate_duplicate_coordinate():
     pts = {(i,): {(0,): F(1)} for i in range(3)}
     data = HermiteData(grid, points=pts)
     assert data.validate() == ["axis 1: duplicate coordinate"]
+
+
+def test_validate_non_finite_values():
+    data = ones_data(unit_square_nu2())
+    data.points[(1, 0)][(0, 1)] = float("nan")
+    data.points[(0, 1)][(0, 0)] = float("-inf")
+    assert sorted(data.validate()) == [
+        "point (0, 1): non-finite value at (0, 0)",
+        "point (1, 0): non-finite value at (0, 1)"]
+    grid = GridSpec((Axis((0.0, 1.0, 2.0)),))
+    dense = HermiteData(grid, tensors={(0,): np.array([1.0, np.inf, 2.0])})
+    assert dense.validate() == ["dense data: non-finite value in order (0,)"]
+
+
+def test_hgrid_non_finite_values_rejected():
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        d = {"dims": 1, "axes": [[0.0, 1.0]], "mult": [[1, 1]],
+             "points": [{"index": [0], "t": [{"k": [0], "value": 1.0}]},
+                        {"index": [1], "t": [{"k": [0], "value": bad}]}]}
+        with pytest.raises(ValueError, match="non-finite"):
+            HermiteData.from_json_dict(d)
+        d["points"][1]["t"][0]["value"] = 2.0
+        d["axes"] = [[0.0, bad]]
+        with pytest.raises(ValueError, match="non-finite"):
+            HermiteData.from_json_dict(d)
 
 
 def test_validate_index_out_of_range():

@@ -18,6 +18,7 @@ from hermgrid.spline import (
     continuity_report,
     eval_spline,
     window_start,
+    window_starts,
 )
 
 
@@ -53,6 +54,61 @@ def test_window_start_general_grid():
     # exact distance tie prefers the lower node
     ax = Axis((1, 2, 4, 5))
     assert window_start(ax, 3, 3.0) == 0
+
+
+def test_window_start_breaks_exact_ties_exactly():
+    # distances 1/5 and 1/5 tie exactly; in float 2/5 - 1/5 > 3/5 - 2/5
+    ax = Axis((0, F(1, 10), F(1, 5), F(3, 5), F(28, 5)))
+    assert window_start(ax, 1, F(2, 5)) == 2
+    assert window_start(ax, 1, 0.4) == 3
+
+
+def _starts_agree(ax, w, xs):
+    want = [window_start(ax, w, float(x)) for x in xs]
+    return np.array_equal(window_starts(ax, w, xs), want)
+
+
+def test_window_starts_match_window_start_uniform():
+    rng = random.Random(11)
+    axes = [UNIT7, Axis(tuple(-3 + 0.5 * k for k in range(9))),
+            Axis(tuple(F(k, 3) for k in range(-4, 6)), 2)]
+    for ax in axes:
+        a0, h = float(ax.coords[0]), float(ax.coords[1] - ax.coords[0])
+        n = ax.npoints
+        # nodes, half-integer grid positions, far outside, random
+        xs = [a0 + h * k / 2 for k in range(-2 * n, 4 * n)]
+        xs += [a0 - 100 * h, a0 + 100 * n * h, -0.0]
+        xs += [rng.uniform(a0 - 2 * h, a0 + (n + 1) * h) for _ in range(200)]
+        for w in range(1, n + 1):
+            assert _starts_agree(ax, w, xs), (ax, w)
+
+
+def test_window_starts_match_window_start_general():
+    rng = random.Random(13)
+    axes = [Axis((0.0, 0.1, 0.2, 0.6, 5.6)), Axis((0, 2, 4, 7)),
+            Axis((1, 2, 4, 5))]
+    for _ in range(6):
+        axes.append(Axis(tuple(sorted(rng.uniform(-5, 5)
+                                      for _ in range(rng.randint(2, 9))))))
+    for ax in axes:
+        c = [float(v) for v in ax.coords]
+        # every midpoint is a float distance tie for some window
+        xs = c + [(a + b) / 2 for a in c for b in c if a < b]
+        xs += [c[0] - 7.0, c[-1] + 7.0]
+        xs += [rng.uniform(c[0] - 1, c[-1] + 1) for _ in range(200)]
+        for w in range(1, ax.npoints + 1):
+            assert _starts_agree(ax, w, xs), (ax, w)
+
+
+def test_window_starts_reject_non_finite():
+    with pytest.raises(ValueError, match="exceeds axis size"):
+        window_starts(UNIT7, 8, [1.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            window_starts(UNIT7, 3, [1.0, bad])
+    s = SplineInterpolant(seven_node_data(2), 4)
+    with pytest.raises(ValueError, match="finite"):
+        s.eval_many([[np.nan]])
 
 
 def test_axis_seams():
@@ -231,7 +287,93 @@ def test_eval_many_matches_scalar_and_is_deterministic():
     assert np.max(np.abs(b - c)) < 1e-9
     # cache warm vs cold never changes values
     assert np.array_equal(s.eval_many(pts), b)
-    assert len(s._cache) == 4
+    # the batch covers 4 windows, each agreeing with its local build
+    corners = [s.select_window((x,)) for x in pts[:, 0]]
+    assert len(set(corners)) == 4
+    for corner in set(corners):
+        rows = [r for r, c in enumerate(corners) if c == corner]
+        local = s.local(corner).eval_many(pts[rows])
+        assert np.max(np.abs(b[rows] - local)) <= 1e-12 * np.max(np.abs(local))
+
+
+def _mixed_grid(rng, exact=False):
+    """Non-uniform 3-D grid, multiplicities 1 to 3, random data."""
+    axes = []
+    for _ in range(3):
+        n = rng.randint(4, 7)
+        coords = sorted(rng.sample(range(-20, 21), n))
+        coords = [F(c, 4) if exact else c / 4 + rng.uniform(-0.1, 0.1)
+                  for c in coords]
+        axes.append(Axis(tuple(coords), tuple(rng.randint(1, 3)
+                                              for _ in range(n))))
+    grid = GridSpec(axes)
+    if exact:
+        return random_data(rng, grid)
+    return HermiteData(grid, points={
+        idx: {k: rng.uniform(-1, 1) for k in enumerate_box(grid.order_box(idx))}
+        for idx in grid.point_indices()})
+
+
+def test_eval_many_matches_local_builds_mixed_multiplicity():
+    rng = random.Random(17)
+    for trial in range(6):
+        data = _mixed_grid(rng, exact=trial == 0)
+        window = tuple(rng.randint(2, min(4, ax.npoints))
+                       for ax in data.grid.axes)
+        s = SplineInterpolant(data, window)
+        hull = [(float(lo), float(hi)) for lo, hi in data.grid.hull()]
+        # slightly outside the hull as well: edge windows extrapolate
+        pts = np.array([[rng.uniform(lo - 0.3, hi + 0.3) for lo, hi in hull]
+                        for _ in range(300)])
+        got = s.eval_many(pts)
+        assert not s._cache  # the batch builds no local interpolant
+        want = np.array([s.local(s.select_window(tuple(x))).eval_many(x)[0]
+                         for x in pts])
+        err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert err <= 1e-12, (trial, err)
+
+
+def test_eval_many_chunking_and_batch_shapes(monkeypatch):
+    import hermgrid.spline as spline_mod
+
+    rng = random.Random(23)
+    data = _mixed_grid(rng)
+    s = SplineInterpolant(data, (3, 2, 3))
+    hull = [(float(lo), float(hi)) for lo, hi in data.grid.hull()]
+    pts = np.array([[rng.uniform(lo, hi) for lo, hi in hull]
+                    for _ in range(50)])
+    whole = s.eval_many(pts)
+    # a budget of one window block: one query per chunk
+    monkeypatch.setattr(spline_mod, "_GATHER_BYTES", 1)
+    assert np.array_equal(s.eval_many(pts), whole)
+    assert s.eval_many(np.empty((0, 3))).shape == (0,)
+    with pytest.raises(ValueError, match="dimension"):
+        s.eval_many(pts[:, :2])
+
+
+def test_eval_many_reads_only_the_window():
+    # windows of 2 or 3 slots share one padded batch; a NaN outside a
+    # query's window must not reach it through a padded slot
+    grid = GridSpec((Axis(tuple(range(6)), (1, 1, 1, 1, 1, 2)),))
+    points = {(a,): {(0,): float(a * a)} for a in range(6)}
+    points[(5,)][(1,)] = 10.0
+    points[(2,)][(0,)] = float("nan")
+    s = SplineInterpolant(HermiteData(grid, points=points), 2)
+    got = s.eval_many([[0.25], [4.5], [2.25]])
+    assert got[0] == 0.25 and np.isfinite(got[1]) and np.isnan(got[2])
+
+
+def test_eval_many_is_exact_at_nodes():
+    rng = random.Random(19)
+    for trial in range(3):
+        data = _mixed_grid(rng, exact=trial == 0)
+        grid = data.grid
+        s = SplineInterpolant(data, tuple(min(3, ax.npoints)
+                                          for ax in grid.axes))
+        idxs = list(grid.point_indices())
+        pts = np.array([[float(c) for c in grid.coords(idx)] for idx in idxs])
+        want = [float(data.value(idx, (0, 0, 0))) for idx in idxs]
+        assert np.array_equal(s.eval_many(pts), want)
 
 
 def test_outside_hull_uses_edge_window():
