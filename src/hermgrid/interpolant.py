@@ -21,15 +21,20 @@ All three agree exactly in rational arithmetic; tests rely on that.
 
 Evaluation keeps the factored form: the interpolant is a contraction of
 Xi with per-axis slot function values, which is numerically benign even
-at degree 29 where the expanded monomial form is unusable.  Expansion to
-a plain polynomial is available (and lazy) for low degrees and for the
-division algorithms.
+at degree 29 where the expanded monomial form is unusable.  Derivatives
+are the same contraction over differentiated slot functions: one
+batched per-axis kernel, `_slot_derivatives`, serves every Binary64
+derivative (scalar `derivative`, and `eval_many`/`eval_lattice` with an
+order k) at every degree, and exact queries above the expansion limit.
+Expansion to a plain polynomial is available (and lazy) for low degrees
+and for the division algorithms; exact derivatives up to
+`EXPAND_DEGREE_LIMIT` differentiate it, once per order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, perm
+from math import comb, factorial, perm
 
 import numpy as np
 
@@ -268,15 +273,16 @@ def _slot_values_batch(axis, xs):
     return np.stack(cols, axis=-1)
 
 
-def _cardinal_weights(axis, lams, xs):
+def _cardinal_weights(axis, lams, xs, order=0):
     """Per-axis cardinal weights at a float vector of abscissas:
     (len(xs), m), row c = L^-T s(x) with L the block diagonal of `lams`
-    (float `axis_lambda` blocks) and s the slot values.  The interpolant
-    at x is the condition tensor contracted with one such row per axis,
-    since Xi = (L_1^-1 x ... x L_n^-1) T.  Back substitution block by
-    block, the transpose of `_solve_along_axis`, so at a node the row is
+    (float `axis_lambda` blocks) and s the slot values, or with `order`
+    their derivatives of that order.  The interpolant at x (its partial)
+    is the condition tensor contracted with one such row per axis, since
+    Xi = (L_1^-1 x ... x L_n^-1) T.  Back substitution block by block,
+    the transpose of `_solve_along_axis`, so at a node the value row is
     exactly one-hot."""
-    c = _slot_values_batch(axis, xs)
+    c = _slot_matrix(axis, np.asarray(xs, dtype=float), order)
     for off, mj, lam in zip(axis.slot_offsets(), axis.mult, lams):
         for r in range(mj - 2, -1, -1):
             col = c[:, off + r]
@@ -286,34 +292,56 @@ def _cardinal_weights(axis, lams, xs):
     return c
 
 
-def _slot_jets(axis, x, order, exact):
-    """Taylor coefficients (not derivatives) of every slot function at x,
-    truncated after `order`; list over slots of length order+1 lists."""
+def _slot_derivatives(axis, xs, order):
+    """`order`-th derivative of every slot function at a vector of
+    abscissas: (len(xs), m).  Each nodal factor is carried as a Taylor
+    jet in the offset e of x + e, truncated after e^order, one array per
+    coefficient.  A float64 xs gives float64; an object xs of Fractions
+    stays exact."""
+    exact = xs.dtype == object
     one = Fraction(1) if exact else 1.0
-    jets = []
-    for j, a in enumerate(axis.coords):
-        hj = [one] + [0 * one] * order
-        for i, c in enumerate(axis.coords):
+    coords = [c * one for c in axis.coords]
+    zero = xs * 0
+    cols = []
+    for j, a in enumerate(coords):
+        hj = [zero + one] + [zero] * order
+        for i, c in enumerate(coords):
             if i == j:
                 continue
-            den = a - c
-            base = [
-                Fraction(x - c, den) if exact else (x - c) / den,
-                Fraction(1, 1) / den if exact else 1.0 / den,
-            ]
+            # ((x + e - c)/(a - c))^mult as repeated truncated products
+            u, v = (xs - c) / (a - c), one / (a - c)
             for _ in range(axis.mult[i]):
-                hj = jet_mul(hj, base, order + 1)
-        pj = [one]
-        fact = 1
+                for d in range(order, 0, -1):
+                    hj[d] = hj[d] * u + hj[d - 1] * v
+                hj[0] = hj[0] * u
+        # slot t is hj (x + e - a)^t / t!; its e^order coefficient times
+        # order! is the derivative
+        powers = [zero + one]
+        for _ in range(1, axis.mult[j]):
+            powers.append(powers[-1] * (xs - a))
         for t in range(axis.mult[j]):
-            # int/int would drop to float on the padded zeros
-            inv_fact = Fraction(1, fact) if exact else 1.0 / fact
-            jets.append(jet_mul(hj, [c * inv_fact for c in pj], order + 1))
-            # pj <- pj * (x - a + (x' - x)) as a jet in (x' - x)
-            pj = jet_mul(pj, [x - a if not exact else Fraction(x - a), one],
-                         order + 1)
-            fact *= t + 1
-    return jets
+            col = zero
+            for q in range(min(t, order) + 1):
+                col = col + comb(t, q) * powers[t - q] * hj[order - q]
+            scale = Fraction(factorial(order), factorial(t))
+            cols.append(col * (scale if exact else float(scale)))
+    return np.stack(cols, axis=-1)
+
+
+def _slot_matrix(axis, xs, order):
+    """Slot function derivatives of one order at xs: (len(xs), m).  Float
+    values stay on `_slot_values_batch`, so no value moves."""
+    if order == 0 and xs.dtype != object:
+        return _slot_values_batch(axis, xs)
+    return _slot_derivatives(axis, xs, order)
+
+
+def check_order(n, k):
+    """Raise ValueError unless k is n non-negative derivative orders."""
+    if len(k) != n:
+        raise ValueError(f"derivative order {tuple(k)} needs {n} entries")
+    if any(e < 0 for e in k):
+        raise ValueError(f"negative derivative order in {tuple(k)}")
 
 
 def _contract(xi, vecs):
@@ -341,6 +369,7 @@ class HermiteInterpolant:
         self.exact = exact
         self._expanded = expanded
         self._xi_float = None
+        self._derivs = {}  # order -> differentiated expanded polynomial
 
     @classmethod
     def from_polynomial(cls, grid, poly, exact=None):
@@ -374,58 +403,85 @@ class HermiteInterpolant:
             return _contract(self.xi, vecs)
         return float(_contract(self._float_xi(), vecs))
 
-    def eval_many(self, pts):
-        """Binary64 evaluation at an (npoints, n) array."""
+    def eval_many(self, pts, k=None):
+        """Binary64 evaluation at an (npoints, n) array; with k, the
+        mixed partial of order k instead of the value."""
         pts = np.asarray(pts, dtype=float)
         if pts.ndim == 1:
             pts = pts[None, :]
-        if self.xi is None:
-            p = self._expanded
-            return np.array([float(p(tuple(row))) for row in pts])
-        xi = self._float_xi()
         n = self.grid.n
-        ops = [xi, list(range(n))]
+        if pts.shape[1] != n:
+            raise ValueError("point dimension mismatch")
+        if k is not None:
+            check_order(n, k)
+        if self.xi is None:
+            p = self._expanded if k is None else self._differentiated(k)
+            return np.array([float(p(tuple(row))) for row in pts])
+        orders = k or (0,) * n
+        ops = [self._float_xi(), list(range(n))]
         for i, ax in enumerate(self.grid.axes):
-            ops += [_slot_values_batch(ax, pts[:, i]), [n, i]]
+            ops += [_slot_matrix(ax, pts[:, i], orders[i]), [n, i]]
         ops.append([n])
         return np.einsum(*ops, optimize=True)
 
-    def eval_lattice(self, axes_vals):
-        """Binary64 evaluation on a product lattice; returns the full
-        value array, shape = lattice shape."""
+    def eval_lattice(self, axes_vals, k=None):
+        """Evaluation on a product lattice, the value or with k the mixed
+        partial of order k; returns an array of the lattice shape.
+        Binary64, or exact when the interpolant and every lattice
+        coordinate are exact."""
+        if k is not None:
+            check_order(self.grid.n, k)
         if self.xi is None:
             mesh = np.meshgrid(*axes_vals, indexing="ij")
             flat = np.stack([m.ravel() for m in mesh], axis=-1)
-            return self.eval_many(flat).reshape(mesh[0].shape)
-        out = self._float_xi()
-        for ax, xs in zip(self.grid.axes, axes_vals):
-            out = np.tensordot(out, _slot_values_batch(ax, xs), axes=([0], [1]))
+            return self.eval_many(flat, k).reshape(mesh[0].shape)
+        orders = k or (0,) * self.grid.n
+        if self.exact and all(is_exact(v) for xs in axes_vals for v in xs):
+            out = self.xi
+            axes_vals = [np.array([Fraction(v) for v in xs], dtype=object)
+                         for xs in axes_vals]
+        else:
+            out = self._float_xi()
+            axes_vals = [np.asarray(xs, dtype=float) for xs in axes_vals]
+        for ax, xs, e in zip(self.grid.axes, axes_vals, orders):
+            out = np.tensordot(out, _slot_matrix(ax, xs, e), axes=([0], [1]))
         return out
 
     def derivative(self, x, k):
         """Mixed partial of order k at point x.
 
-        Low degree goes through the expanded polynomial; high degree
-        differentiates the factored form via truncated jets, which never
-        leaves the well-scaled slot representation.
+        Binary64 queries, at any degree, contract the slot tensor with
+        per-axis slot derivatives (`_slot_derivatives` on one row), which
+        never leaves the well-scaled factored form.  Exact queries go
+        through the expanded polynomial, differentiated once per order,
+        up to `EXPAND_DEGREE_LIMIT`, and through the same exact kernel
+        above it.  Polynomial-backed interpolants always use their
+        polynomial.
         """
-        if all(e == 0 for e in k):
+        if len(x) != self.grid.n:
+            raise ValueError("point dimension mismatch")
+        check_order(self.grid.n, k)
+        if not any(k):
             return self(x)
-        if self.xi is None or self.max_degree <= EXPAND_DEGREE_LIMIT:
-            p = self.expanded().differentiate(k)
-            ex = self.exact and all(is_exact(v) for v in x)
-            return p(tuple(x)) if ex else float(p(tuple(float(v) for v in x)))
         ex = self.exact and all(is_exact(v) for v in x)
-        scale = 1
-        vecs = []
-        for i, (ax, v) in enumerate(zip(self.grid.axes, x)):
-            jets = _slot_jets(ax, v if ex else float(v), k[i], ex)
-            vecs.append([j[k[i]] for j in jets])
-            for t in range(1, k[i] + 1):
-                scale *= t
+        if self.xi is None or (ex and self.max_degree <= EXPAND_DEGREE_LIMIT):
+            p = self._differentiated(k)
+            return p(tuple(x)) if ex else float(p(tuple(float(v) for v in x)))
+        rows = [np.array([Fraction(v) if ex else float(v)],
+                         dtype=object if ex else float) for v in x]
+        vecs = [_slot_matrix(ax, r, e)[0]
+                for ax, r, e in zip(self.grid.axes, rows, k)]
         if ex:
-            return _contract(self.xi, vecs) * scale
-        return float(_contract(self._float_xi(), vecs)) * scale
+            return _contract(self.xi, vecs)
+        return float(_contract(self._float_xi(), vecs))
+
+    def _differentiated(self, k):
+        """The expanded polynomial differentiated to order k, cached."""
+        k = tuple(k)
+        p = self._derivs.get(k)
+        if p is None:
+            p = self._derivs[k] = self.expanded().differentiate(k)
+        return p
 
     def expanded(self, force=False):
         if self._expanded is not None:

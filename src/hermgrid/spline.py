@@ -2,13 +2,14 @@
 
 Instead of one global interpolant of enormous degree, pick per query
 point a window of w_i nodes along each axis and evaluate the local
-interpolant of the window sub-grid.  Scalar, exact and derivative
-queries build that local (cached by window corner).  Binary64 batches
-build none: the local Lambda solve factors per axis, so the local value
-at x is the window's block of the full condition tensor contracted with
-one cardinal weight vector per axis.  `eval_many` selects windows per
-axis for the whole batch, computes weights once per distinct window
-start, and gathers and contracts the blocks in chunks of bounded size.
+interpolant of the window sub-grid.  Scalar and exact queries build
+that local (cached by window corner).  Binary64 batches, of values or of
+one derivative order, build none: the local Lambda solve factors per
+axis, so the local value (or partial) at x is the window's block of the
+full condition tensor contracted with one cardinal weight vector per
+axis.  `eval_many` selects windows per axis for the whole batch,
+computes weights once per distinct window start, and gathers and
+contracts the blocks in chunks of bounded size.
 
 Window selection per axis:
 
@@ -184,20 +185,24 @@ class SplineInterpolant:
             out = self._windows[(i, s)] = (sub, lams)
         return out
 
-    def eval_many(self, pts):
-        """Binary64 evaluation at an (npoints, n) array.
+    def eval_many(self, pts, k=None):
+        """Binary64 evaluation at an (npoints, n) array; with k, the
+        mixed partial of order k instead of the value.
 
         Per axis: the window start of every query, then its cardinal
-        weights, computed once per distinct start (zero-padded to the
-        widest window of the batch).  Each query's window block of the
-        condition tensor is gathered by fancy indexing and contracted
-        with its weights, axis by axis, in chunks of at most
-        `_GATHER_BYTES`."""
+        weights (from the slot derivatives of order k_i), computed once
+        per distinct start (zero-padded to the widest window of the
+        batch).  Each query's window block of the condition tensor is
+        gathered by fancy indexing and contracted with its weights, axis
+        by axis, in chunks of at most `_GATHER_BYTES`."""
         pts = np.asarray(pts, dtype=float)
         if pts.ndim == 1:
             pts = pts[None, :]
         if pts.shape[1] != self.grid.n:
             raise ValueError("point dimension mismatch")
+        if k is not None:
+            interpolant.check_order(self.grid.n, k)
+        orders = k or (0,) * self.grid.n
         if not len(pts):
             return np.empty(0)
         if self._tensor is None:
@@ -213,7 +218,7 @@ class SplineInterpolant:
             for u, (sub, lams) in enumerate(subs):
                 rows = np.flatnonzero(which == u)
                 c[rows, :counts[u]] = interpolant._cardinal_weights(
-                    sub, lams, pts[rows, i])
+                    sub, lams, pts[rows, i], orders[i])
             weights.append(c)
             # first slot and slot count of each query's window
             slots.append((np.array(ax.slot_offsets())[starts], counts[which]))

@@ -4,7 +4,11 @@ Everything here is deterministic; random generators take an explicit
 random.Random so tests stay reproducible.
 """
 
+import hashlib
+import random
 from fractions import Fraction as F
+
+import numpy as np
 
 from hermgrid.grid import Axis, GridSpec, HermiteData
 from hermgrid.multiindex import enumerate_box
@@ -189,6 +193,35 @@ def random_data(rng, grid):
         box = enumerate_box(grid.order_box(idx))
         pts[idx] = {k: rand_fraction(rng) for k in box}
     return HermiteData(grid, points=pts)
+
+
+def float_data(data):
+    """Binary64 copy of exact point data: coordinates and values."""
+    grid = GridSpec([Axis([float(c) for c in ax.coords], ax.mult)
+                     for ax in data.grid.axes])
+    return HermiteData(grid, points={
+        idx: {k: float(v) for k, v in entries.items()}
+        for idx, entries in data.points.items()})
+
+
+def binary64_case(seed):
+    """Float copy of a random instance (1-3 axes, up to 4 nodes, nu up to
+    3), 9 scattered points, some outside the hull, and a 4-per-axis
+    lattice."""
+    rng = random.Random(seed)
+    data = random_data(rng, random_grid(rng, max_n=3, max_pts=4, max_nu=3,
+                                        max_conditions=300))
+    hull = [(float(lo), float(hi)) for lo, hi in data.grid.hull()]
+    pts = np.array([[rng.uniform(lo - 0.5, hi + 0.5) for lo, hi in hull]
+                    for _ in range(9)])
+    lattice = [np.linspace(lo, hi, 4) for lo, hi in hull]
+    return float_data(data), pts, lattice
+
+
+def digest(values):
+    """Short SHA-256 of a float array's bytes: equal only if bit-identical."""
+    return hashlib.sha256(
+        np.ascontiguousarray(values, dtype=float).tobytes()).hexdigest()[:16]
 
 
 def sample_poly_data(g, grid):

@@ -8,6 +8,8 @@ import json
 import math
 from fractions import Fraction as F
 
+import numpy as np
+
 from helpers import (
     Q1_PRINTED_3D,
     Q2_PRINTED_3D,
@@ -153,6 +155,87 @@ def test_eval_window_uses_the_spline(tmp_path, capsys):
     assert float(rows[1][1]) == float(expected)
 
 
+def cube_files(tmp_path):
+    """A 4x3x3 float grid, nu=2, sampled from a polynomial inside its
+    interpolation space, and two in-hull query points."""
+    axes = [(0.0, 0.5, 1.5, 2.0), (-1.0, 0.0, 1.0), (0.0, 1.0, 3.0)]
+    grid = GridSpec([Axis(c, 2) for c in axes])
+    g = MultiPoly(3, {(3, 1, 0): F(1, 2), (0, 2, 1): F(-3), (1, 0, 2): F(5, 4),
+                      (0, 0, 0): F(7)})
+    exact = sample_poly_data(g, GridSpec([Axis([F(c) for c in ax], 2)
+                                          for ax in axes]))
+    data = HermiteData(grid, points={
+        idx: {k: float(v) for k, v in e.items()} for idx, e in exact.points.items()})
+    path = tmp_path / "cube.json"
+    dump_hgrid(data, str(path))
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x1,x2,x3\n0.25,0.5,2\n1.75,-0.5,0.5\n")
+    return g, str(path), str(pts)
+
+
+def test_eval_batches_match_the_polynomial(tmp_path, capsys):
+    g, data, pts = cube_files(tmp_path)
+    for window in ([], ["--window", "3"], ["--window", "4,3,2"]):
+        rc, out, _ = run_cli(capsys, ["eval", data, pts, "--deriv", "1,0,1"]
+                             + window)
+        assert rc == 0, window
+        lines = out.strip().split("\n")
+        assert lines[0] == "x1,x2,x3,value,d_1_0_1"
+        for line in lines[1:]:
+            row = [F(c) for c in line.split(",")]
+            x = tuple(row[:3])
+            assert abs(row[3] - g(x)) <= 1e-10, window
+            assert abs(row[4] - g.differentiate((1, 0, 1))(x)) <= 1e-10
+
+
+def test_eval_rejects_bad_derivative_orders(tmp_path, capsys):
+    _, data, pts = cube_files(tmp_path)
+    for deriv, message in (("1,-1,0", "negative"), ("1,0", "3 entries"),
+                           ("1,x,0", "integers")):
+        for mode in ("binary64", "exact"):
+            rc, out, err = run_cli(capsys, ["eval", data, pts, "--deriv", deriv,
+                                            "--mode", mode])
+            assert rc == 2, (deriv, mode)
+            assert out == ""
+            assert message in err
+
+
+def test_window_larger_than_an_axis_is_an_input_error(tmp_path, capsys):
+    _, data, pts = cube_files(tmp_path)
+    target = tmp_path / "fine.json"
+    for argv in (["eval", data, pts, "--window", "9"],
+                 ["resample", data, "--step", "0.5", "--window", "9",
+                  "--out", str(target)],
+                 ["verify", data, "--continuity", "--window", "9"],
+                 ["verify", data, "--continuity"]):
+        rc, out, err = run_cli(capsys, argv)
+        assert rc == 2, argv
+        assert out == ""
+        assert "--window" in err and "invalid for axis of" in err
+
+
+def test_eval_and_resample_batches_build_no_local(tmp_path, capsys,
+                                                  monkeypatch):
+    calls = []
+    local = SplineInterpolant.local
+
+    def counted(self, corner):
+        calls.append(corner)
+        return local(self, corner)
+
+    monkeypatch.setattr(SplineInterpolant, "local", counted)
+    _, data, pts = cube_files(tmp_path)
+    rc, _, _ = run_cli(capsys, ["eval", data, pts, "--window", "3",
+                                "--deriv", "1,1,0"])
+    assert rc == 0
+    target = tmp_path / "fine.json"
+    rc, _, _ = run_cli(capsys, ["resample", data, "--step", "0.5",
+                                "--window", "3,2,2", "--out", str(target)])
+    assert rc == 0
+    assert load_hgrid(str(target)).grid.shape == (5, 5, 7)
+    assert calls == []
+
+
 def test_eval_rejects_bad_points_files(tmp_path, capsys):
     data = bilinear_file(tmp_path)
     bad_header = tmp_path / "wrong.csv"
@@ -233,22 +316,58 @@ def test_verify_passes_exact_data(tmp_path, capsys):
     assert report["max_condition_residual"] == 0.0
 
 
-def test_verify_fails_on_unresolvable_float_data(tmp_path, capsys):
-    # nearly coincident nodes make the expanded coefficients so large
-    # that the first order conditions drown in roundoff
-    grid = GridSpec((Axis((0.0, 1e-6, 1.0), 2),))
-    vals = iter(range(1, 7))
+def thin_file(tmp_path, gap, nu):
+    """Three nodes (0, gap, 1) of multiplicity nu, values 1, 2, 3, ..."""
+    grid = GridSpec((Axis((0.0, gap, 1.0), nu),))
+    vals = iter(range(1, 3 * nu + 1))
     pts = {
         idx: {k: float(next(vals)) for k in enumerate_box(grid.order_box(idx))}
         for idx in grid.point_indices()
     }
-    bad = tmp_path / "thin.json"
-    dump_hgrid(HermiteData(grid, points=pts), str(bad))
-    rc, out, _ = run_cli(capsys, ["verify", str(bad)])
+    path = tmp_path / f"thin_{gap}_{nu}.json"
+    dump_hgrid(HermiteData(grid, points=pts), str(path))
+    return str(path)
+
+
+def test_verify_fails_on_unresolvable_float_data(tmp_path, capsys):
+    # nodes 1e-8 apart at nu=3: the coupling blocks hold powers of 1e8 up
+    # to the fifth, and the conditions drown in their roundoff
+    rc, out, _ = run_cli(capsys, ["verify", thin_file(tmp_path, 1e-8, 3)])
     assert rc == 4
     report = json.loads(out)
     assert report["pass"] is False
     assert report["max_condition_residual"] > 1e-3
+
+
+def test_verify_resolves_close_nodes_in_factored_form(tmp_path, capsys):
+    # nodes 1e-6 apart at nu=2 defeat the expanded monomial form, but the
+    # factored form meets every condition
+    rc, out, _ = run_cli(capsys, ["verify", thin_file(tmp_path, 1e-6, 2)])
+    assert rc == 0
+    report = json.loads(out)
+    assert report["pass"] is True
+    assert report["max_condition_residual"] <= 1e-9
+
+
+def test_verify_passes_sinmix3d_point_data(tmp_path, capsys):
+    # valid sampled data of degree 15 per axis: condition residuals stay
+    # at roundoff once derivatives keep to the factored form
+    from hermgrid.harness import builtin_function, derive_data
+
+    nodes = [float(v) for v in np.linspace(-6, 6, 8)]
+    grid = GridSpec([Axis(nodes, 2)] * 3)
+    dense = derive_data(builtin_function("sinmix3d"), grid)
+    points = {
+        idx: {k: float(dense.value(idx, k))
+              for k in enumerate_box(grid.order_box(idx))}
+        for idx in grid.point_indices()}
+    path = tmp_path / "sinmix.json"
+    dump_hgrid(HermiteData(grid, points=points), str(path))
+    rc, out, _ = run_cli(capsys, ["verify", str(path)])
+    assert rc == 0
+    report = json.loads(out)
+    assert report["conditions"] == 4096
+    assert report["max_condition_residual"] <= 1e-9
 
 
 def test_nan_data_is_an_input_error(tmp_path, capsys):
@@ -305,6 +424,23 @@ def test_resample_halves_the_step(tmp_path, capsys):
         assert fine.value(idx, (0, 0)) == float(blend(a))
     rc, _, _ = run_cli(capsys, ["verify", str(target)])
     assert rc == 0
+
+
+def test_resample_derivative_orders_match_the_polynomial(tmp_path, capsys):
+    g, data, _ = cube_files(tmp_path)
+    for window in ([], ["--window", "3,3,2"]):
+        target = tmp_path / "fine.json"
+        rc, _, _ = run_cli(capsys, ["resample", data, "--step", "0.5,0.5,1",
+                                    "--mult", "2,3,1", "--out", str(target)]
+                           + window)
+        assert rc == 0
+        fine = load_hgrid(str(target))
+        assert fine.validate() == []
+        assert fine.grid.condition_count() == 10 * 15 * 4
+        for idx, entries in fine.points.items():
+            a = tuple(F(c) for c in fine.grid.coords(idx))
+            for k, v in entries.items():
+                assert abs(v - g.differentiate(k)(a)) <= 1e-10, window
 
 
 def test_resample_rejects_steps_that_overshoot_the_hull(tmp_path, capsys):

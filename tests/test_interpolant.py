@@ -8,8 +8,11 @@ from helpers import (
     PRINTED_INVERSE,
     antipode,
     bilinear_poly,
+    binary64_case,
+    digest,
     division_grid_1d,
     division_poly_1d,
+    float_data,
     mp,
     random_data,
     random_grid,
@@ -21,6 +24,8 @@ from hermgrid.grid import Axis, GridSpec, HermiteData
 from hermgrid.interpolant import (
     HermiteInterpolant,
     build_basis,
+    _slot_derivatives,
+    _slot_polys,
     build_lambda,
     interpolate,
     lambda_inverse,
@@ -286,6 +291,121 @@ def test_derivative_high_degree_factored_path():
         x = (F(rng.randint(-4, 9), 2),)
         for k in ((0,), (1,), (2,)):
             assert f.derivative(x, k) == p.differentiate(k)(x)
+
+
+def test_slot_derivatives_match_differentiated_slot_polynomials():
+    ax = Axis((F(-1), F(1, 2), F(2)), (2, 3, 1))
+    xs = [F(1, 3), F(-5, 7), F(2)]
+    polys = _slot_polys(ax, F(1))
+    for order in range(8):
+        want = [[p.differentiate(order)(x) for p in polys] for x in xs]
+        exact = _slot_derivatives(ax, np.array(xs, dtype=object), order)
+        assert exact.shape == (3, 6)
+        assert exact.tolist() == want
+        approx = _slot_derivatives(ax, np.array([float(x) for x in xs]), order)
+        assert approx.dtype == float
+        assert np.allclose(approx, np.array(want, dtype=float),
+                           rtol=1e-13, atol=1e-13)
+
+
+def test_binary64_derivatives_match_exact_at_rational_points():
+    # every Binary64 route (scalar, batch, lattice) against the exact
+    # derivative, on random 1-3 D grids with mixed multiplicities
+    rng = random.Random(97)
+    for _ in range(12):
+        grid = random_grid(rng, max_pts=4, max_conditions=300)
+        data = random_data(rng, grid)
+        exact, f = interpolate(data), interpolate(float_data(data))
+        pts = [tuple(F(rng.randint(-40, 40), 7) for _ in range(grid.n))
+               for _ in range(15)]
+        fpts = np.array(pts, dtype=float)
+        for _ in range(4):
+            k = tuple(rng.randint(0, 3) for _ in range(grid.n))
+            want = np.array([float(exact.derivative(x, k)) for x in pts])
+            scale = max(1.0, np.max(np.abs(want)))
+            many = f.eval_many(fpts, k)
+            assert np.max(np.abs(many - want)) <= 1e-12 * scale, k
+            scalar = [f.derivative(tuple(x), k) for x in fpts]
+            assert np.max(np.abs(scalar - want)) <= 1e-12 * scale, k
+            lattice = f.eval_lattice([fpts[:3, i] for i in range(grid.n)], k)
+            diag = [lattice[(j,) * grid.n] for j in range(3)]
+            assert np.max(np.abs(diag - want[:3])) <= 1e-12 * scale, k
+
+
+# sha256 prefixes of the value batches as computed before derivative
+# orders joined eval_many/eval_lattice, on `binary64_case(seed)`:
+# (seed, eval_many, eval_lattice)
+VALUE_DIGESTS = [
+    (0, "25d0885bc4f07e76", "e38b1c4c32279742"),
+    (5, "ace751cf72298b80", "38336ff58e86f65d"),
+    (24, "8aac9b7b30f91093", "2e752b8cfdd3c3ef"),
+    (33, "86ac41f5759576b2", "3a76eded404073f1"),
+    (38, "7e7b0369d9c7286b", "e74980360b1bffbb"),
+]
+
+
+def test_value_batches_are_bit_identical():
+    for seed, many, lattice in VALUE_DIGESTS:
+        data, pts, lat = binary64_case(seed)
+        f = interpolate(data)
+        assert digest(f.eval_many(pts)) == many, seed
+        assert digest(f.eval_lattice(lat)) == lattice, seed
+        zero = (0,) * data.grid.n
+        assert np.array_equal(f.eval_many(pts, zero), f.eval_many(pts))
+        assert np.array_equal(f.eval_lattice(lat, zero), f.eval_lattice(lat))
+
+
+def test_bad_orders_and_points_raise_value_error():
+    rng = random.Random(101)
+    grid = GridSpec((Axis((F(0), F(1), F(3)), 2), Axis((F(-1), F(2)), 3)))
+    data = random_data(rng, grid)
+    exact = interpolate(data)
+    routes = [exact, interpolate(float_data(data)),
+              vandermonde_interpolate(data)]
+    x = (F(1, 2), F(1, 3))
+    for f in routes:
+        for point in (x, tuple(float(v) for v in x)):
+            with pytest.raises(ValueError, match="negative"):
+                f.derivative(point, (1, -1))
+            with pytest.raises(ValueError, match="2 entries"):
+                f.derivative(point, (1,))
+            with pytest.raises(ValueError, match="2 entries"):
+                f.derivative(point, (1, 0, 0))
+            with pytest.raises(ValueError, match="dimension"):
+                f.derivative(point[:1], (1, 0))
+        with pytest.raises(ValueError, match="negative"):
+            f.eval_many([[0.5, 0.5]], (0, -2))
+        with pytest.raises(ValueError, match="2 entries"):
+            f.eval_many([[0.5, 0.5]], (1,))
+        with pytest.raises(ValueError, match="dimension"):
+            f.eval_many([[0.5, 0.5, 0.5]], (1, 0))
+        with pytest.raises(ValueError, match="negative"):
+            f.eval_lattice([[0.5], [0.5]], (-1, 0))
+
+
+def test_exact_derivatives_differentiate_once_per_order(monkeypatch):
+    calls = []
+    differentiate = MultiPoly.differentiate
+
+    def counted(self, k):
+        calls.append(tuple(k))
+        return differentiate(self, k)
+
+    monkeypatch.setattr(MultiPoly, "differentiate", counted)
+    rng = random.Random(103)
+    grid = GridSpec((Axis((F(0), F(1), F(3)), 2), Axis((F(-1), F(2)), 3)))
+    data = random_data(rng, grid)
+    f = interpolate(data)
+    for _ in range(3):
+        for idx, entries in data.points.items():
+            for k, t in entries.items():
+                assert f.derivative(grid.coords(idx), k) == t
+    orders = {k for entries in data.points.values() for k in entries}
+    assert sorted(calls) == sorted(k for k in orders if any(k))
+    # Binary64 queries never differentiate the expansion
+    float(f.derivative((0.5, 0.25), (1, 2)))
+    interpolate(float_data(data)).derivative((0.5, 0.25), (1, 1))
+    assert len(calls) == len(orders) - 1
 
 
 def test_point_xi_and_factored_serialization():

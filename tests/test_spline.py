@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 
 from helpers import (
+    binary64_case,
+    digest,
+    float_data,
     random_data,
+    random_grid,
     seven_node_data,
 )
 from hermgrid.grid import Axis, GridSpec, HermiteData
@@ -384,3 +388,61 @@ def test_outside_hull_uses_edge_window():
     assert s((F(-3, 2),)) == edge((F(-3, 2),))
     assert abs(s((-1.5,)) - float(edge((F(-3, 2),)))) < 1e-9 * abs(s((-1.5,)))
     assert s((F(8),)) == s.local((3,))((F(8),))
+
+
+def test_derivative_batches_match_exact_local_derivatives():
+    # Binary64 batches of derivative orders against the exact derivative
+    # of each query's window, on random 1-3 D grids with mixed
+    # multiplicities.  Points p/7 tie between windows only at integers,
+    # which are exact floats, so float and exact selection agree
+    rng = random.Random(107)
+    for _ in range(12):
+        grid = random_grid(rng, max_pts=4, max_conditions=300)
+        data = random_data(rng, grid)
+        window = tuple(rng.randint(1, ax.npoints) for ax in grid.axes)
+        exact = SplineInterpolant(data, window)
+        s = SplineInterpolant(float_data(data), window)
+        pts = [tuple(F(rng.randint(-40, 40), 7) for _ in range(grid.n))
+               for _ in range(25)]
+        fpts = np.array(pts, dtype=float)
+        for _ in range(4):
+            k = tuple(rng.randint(0, 3) for _ in range(grid.n))
+            want = np.array([float(exact.derivative(x, k)) for x in pts])
+            got = s.eval_many(fpts, k)
+            scale = max(1.0, np.max(np.abs(want)))
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale, (window, k)
+            assert not s._cache  # no local interpolant was built
+        scalar = [s.derivative(tuple(x), k) for x in fpts]
+        assert np.max(np.abs(scalar - want)) <= 1e-12 * scale
+
+
+# sha256 prefixes of spline value batches as computed before derivative
+# orders joined eval_many, on `binary64_case(seed)` with windows of at
+# most 2 nodes
+SPLINE_DIGESTS = [
+    (0, "3c895a7fa180291e"),
+    (5, "89810a1853e7d87a"),
+    (24, "0c580960d58404d0"),
+    (33, "09665a8403a2364a"),
+    (38, "77bbf6542c988902"),
+]
+
+
+def test_value_batches_are_bit_identical():
+    for seed, want in SPLINE_DIGESTS:
+        data, pts, _ = binary64_case(seed)
+        s = SplineInterpolant(data, tuple(min(2, ax.npoints)
+                                          for ax in data.grid.axes))
+        got = s.eval_many(pts)
+        assert digest(got) == want, seed
+        assert np.array_equal(s.eval_many(pts, (0,) * data.grid.n), got)
+
+
+def test_derivative_batches_reject_bad_orders():
+    s = SplineInterpolant(seven_node_data(2), 3)
+    with pytest.raises(ValueError, match="negative"):
+        s.eval_many([[1.5]], (-1,))
+    with pytest.raises(ValueError, match="1 entries"):
+        s.eval_many([[1.5]], (1, 0))
+    with pytest.raises(ValueError, match="negative"):
+        s.derivative((1.5,), (-1,))
