@@ -12,12 +12,17 @@ all of them.  This module builds it three independent ways:
   substitution over the condition tensor, one axis at a time.  Cost is
   linear in the data per sweep; no global linear system is ever formed.
 * `spitzbart_interpolate`: closed-form univariate cardinal polynomials
-  via truncated power-series inversion of the nodal polynomial, tensored
-  across axes.  Slow but independent of the Lambda machinery.
-* `vandermonde_interpolate`: dense exact solve against the monomial
-  basis.  Brute force, capped at 512 conditions.
+  via truncated power-series inversion of the nodal polynomial.  Their
+  coefficients form one matrix per axis, and the condition tensor taken
+  through those matrices is the tensor-product sum over conditions.
+* `vandermonde_interpolate`: exact solve against the monomial basis.  The
+  confluent Vandermonde matrix of a rectilinear grid is the Kronecker
+  product of per-axis factors, so each factor is inverted exactly and
+  the condition tensor is taken through the inverses.
 
-All three agree exactly in rational arithmetic; tests rely on that.
+All three agree exactly in rational arithmetic; tests rely on that.  The
+two references share only the condition tensor with `interpolate`: they
+use neither Lambda nor the slot functions.
 
 Evaluation keeps the factored form: the interpolant is a contraction of
 Xi with per-axis slot function values, which is numerically benign even
@@ -50,8 +55,6 @@ from .polyring import (
 )
 
 EXPAND_DEGREE_LIMIT = 15
-
-_VANDERMONDE_CAP = 512
 
 
 def _axis_exact(axis):
@@ -344,11 +347,31 @@ def check_order(n, k):
         raise ValueError(f"negative derivative order in {tuple(k)}")
 
 
+def _mode_products(T, mats):
+    """T taken through one matrix (or vector) per axis, leading axis
+    first: out[e] = sum_s T[s] prod_i mats[i][s_i, e_i]."""
+    for M in mats:
+        T = np.tensordot(T, M, axes=([0], [0]))
+    return T
+
+
+def _coefficient_matrix(polys, width, one):
+    """Row r holds the monomial coefficients of polys[r], padded to width."""
+    M = np.full((len(polys), width), 0 * one,
+                dtype=object if is_exact(one) else float)
+    for r, p in enumerate(polys):
+        M[r, :len(p.coeffs)] = p.coeffs
+    return M
+
+
+def _to_multipoly(C):
+    """The polynomial with coefficient C[e] at exponent e; zeros dropped."""
+    return MultiPoly(C.ndim, {tuple(int(v) for v in e): C[e]
+                              for e in np.ndindex(C.shape) if C[e] != 0})
+
+
 def _contract(xi, vecs):
-    out = xi
-    for v in vecs:
-        out = np.tensordot(out, np.asarray(v, dtype=xi.dtype), axes=([0], [0]))
-    return out[()]
+    return _mode_products(xi, [np.asarray(v, dtype=xi.dtype) for v in vecs])[()]
 
 
 class HermiteInterpolant:
@@ -490,27 +513,9 @@ class HermiteInterpolant:
             raise ValueError(
                 f"degree {self.max_degree} interpolant: expansion must be forced")
         one = Fraction(1) if self.exact else 1.0
-        out = self.xi
-        for ax in self.grid.axes:
-            polys = _slot_polys(ax, one)
-            width = max(p.degree for p in polys) + 1
-            if self.exact:
-                M = np.empty((len(polys), width), dtype=object)
-                M[:] = Fraction(0)
-            else:
-                M = np.zeros((len(polys), width))
-            for r, p in enumerate(polys):
-                for d, c in enumerate(p.coeffs):
-                    M[r, d] = c
-            out = np.tensordot(out, M.astype(out.dtype) if not self.exact else M,
-                               axes=([0], [0]))
-        terms = {}
-        zero = Fraction(0) if self.exact else 0.0
-        for e in np.ndindex(out.shape):
-            c = out[e]
-            if c != zero:
-                terms[tuple(int(v) for v in e)] = c
-        self._expanded = MultiPoly(self.grid.n, terms)
+        mats = [_coefficient_matrix(_slot_polys(ax, one), ax.condition_count, one)
+                for ax in self.grid.axes]
+        self._expanded = _to_multipoly(_mode_products(self.xi, mats))
         return self._expanded
 
     def point_xi(self, idx):
@@ -574,12 +579,10 @@ def interpolate(data, validate=True):
 # -- independent reference routes --------------------------------------
 
 
-def _cardinal_poly(axis, j, k, var):
+def _cardinal_poly(axis, j, k):
     """Univariate cardinal polynomial taking derivative order k at node j
     to 1 and all other prescribed orders on the axis to 0.  Closed form:
     (x-a)^k / k! * H(x) * [truncated power series of 1/H at a]."""
-    from math import factorial
-
     a = axis.coords[j]
     exact = _axis_exact(axis)
     one = Fraction(1) if exact else 1.0
@@ -594,94 +597,66 @@ def _cardinal_poly(axis, j, k, var):
     p = h * trunc
     for _ in range(k):
         p = p * shift
-    p = p.scale(Fraction(1, factorial(k)) if exact else 1.0 / factorial(k))
-    p.axis = var
-    return p
+    return p.scale(Fraction(1, factorial(k)) if exact else 1.0 / factorial(k))
 
 
 def spitzbart_interpolate(data):
-    """Tensor product of univariate closed-form cardinal polynomials
-    (the classical generalized-Hermite formula).  Independent reference
-    route; cost grows fast, meant for small grids."""
-    if data.dense:
-        raise ValueError("closed-form route needs point-layout data")
+    """The classical generalized-Hermite formula: the sum over conditions
+    of the value times a tensor product of univariate closed-form
+    cardinal polynomials.  Per axis the cardinal polynomials of every
+    slot are the rows of one coefficient matrix, so the sum is the
+    condition tensor taken through those matrices by mode products.
+    Independent of Lambda; keeps the value type of the data."""
     grid = data.grid
-    cache = {}
-    out = MultiPoly(grid.n, {})
-    for idx, entries in data.points.items():
-        for k, v in entries.items():
-            if v == 0:
-                continue
-            term = MultiPoly.constant(grid.n, v)
-            for i in range(grid.n):
-                key = (i, idx[i], k[i])
-                if key not in cache:
-                    cache[key] = MultiPoly.from_uni(
-                        _cardinal_poly(grid.axes[i], idx[i], k[i], i), grid.n)
-                term = term * cache[key]
-            out = out + term
-    return HermiteInterpolant.from_polynomial(grid, out)
+    T = condition_tensor(data)
+    mats = []
+    for ax in grid.axes:
+        polys = [_cardinal_poly(ax, j, k)
+                 for j in range(ax.npoints) for k in range(ax.mult[j])]
+        M = _coefficient_matrix(polys, ax.condition_count,
+                                Fraction(1) if _axis_exact(ax) else 1.0)
+        mats.append(M if T.dtype == object else M.astype(float))
+    return HermiteInterpolant.from_polynomial(
+        grid, _to_multipoly(_mode_products(T, mats)))
+
+
+def _confluent_factor(axis):
+    """Exact confluent Vandermonde factor of one axis: row (node j, order
+    k), in slot order, holds the k-th derivatives at a_j of the monomials
+    x^e, e!/(e-k)! a_j^(e-k).  The grid's matrix is the Kronecker product
+    of these factors."""
+    m = axis.condition_count
+    return np.array([
+        [Fraction(perm(e, k)) * Fraction(a) ** max(e - k, 0) for e in range(m)]
+        for a, mj in zip(axis.coords, axis.mult) for k in range(mj)
+    ], dtype=object)
+
+
+def _exact_inverse(A):
+    """Inverse of a square Fraction matrix by Gauss-Jordan elimination
+    with row pivoting."""
+    m = len(A)
+    W = np.hstack([A, np.array([[Fraction(int(r == c)) for c in range(m)]
+                                for r in range(m)], dtype=object)])
+    for c in range(m):
+        p = next(r for r in range(c, m) if W[r, c] != 0)
+        W[[c, p]] = W[[p, c]]
+        W[c] = W[c] / W[c, c]
+        for r in range(m):
+            if r != c and W[r, c] != 0:
+                W[r] = W[r] - W[r, c] * W[c]
+    return W[:, m:]
 
 
 def vandermonde_interpolate(data):
-    """Exact dense solve against monomials.  Quadratic storage, cubic
-    time; refuses more than 512 conditions."""
-    if data.dense:
-        raise ValueError("vandermonde route needs point-layout data")
+    """Exact solve against the monomial basis.  The confluent Vandermonde
+    matrix is V_1 x ... x V_n, so the monomial coefficients are the
+    condition tensor, converted to Fractions, taken through V_i^-T by mode
+    products; each factor is inverted exactly and is as small as one
+    axis's condition count."""
     grid = data.grid
-    n = grid.n
-    if grid.condition_count() > _VANDERMONDE_CAP:
-        raise ValueError("too many conditions for the dense route")
-    monos = list(np.ndindex(*[ax.condition_count for ax in grid.axes]))
-    monos = [tuple(int(v) for v in e) for e in monos]
-    rows = []
-    rhs = []
-    for idx, entries in data.points.items():
-        a = grid.coords(idx)
-        for k, v in entries.items():
-            # d^k x^e at a factors per axis: e!/(e-k)! a^(e-k), zero if e < k
-            factors = [
-                [Fraction(perm(e, k[i])) * Fraction(a[i]) ** (e - k[i])
-                 if e >= k[i] else Fraction(0)
-                 for e in range(ax.condition_count)]
-                for i, ax in enumerate(grid.axes)
-            ]
-            row = []
-            for e in monos:
-                c = Fraction(1)
-                for i in range(n):
-                    c *= factors[i][e[i]]
-                row.append(c)
-            rows.append(row)
-            rhs.append(Fraction(v))
-    size = len(rows)
-    if size != len(monos):
-        raise ValueError("condition count does not match basis size")
-    # exact gaussian elimination with row pivoting: eliminate below the
-    # pivot only, touching just the columns where the pivot row is nonzero
-    # (the confluent Vandermonde matrix is sparse), then back substitute
-    for col in range(size):
-        piv = next(r for r in range(col, size) if rows[r][col] != 0)
-        rows[col], rows[piv] = rows[piv], rows[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        prow = rows[col]
-        inv = Fraction(1) / prow[col]
-        nonzero = [j for j in range(col + 1, size) if prow[j] != 0]
-        for r in range(col + 1, size):
-            row = rows[r]
-            if row[col] != 0:
-                f = row[col] * inv
-                for j in nonzero:
-                    row[j] -= f * prow[j]
-                row[col] = Fraction(0)
-                rhs[r] -= f * rhs[col]
-    coeffs = [Fraction(0)] * size
-    for col in range(size - 1, -1, -1):
-        prow = rows[col]
-        s = rhs[col]
-        for j in range(col + 1, size):
-            if prow[j] != 0:
-                s -= prow[j] * coeffs[j]
-        coeffs[col] = s / prow[col]
-    terms = {e: v for e, v in zip(monos, coeffs) if v != 0}
-    return HermiteInterpolant.from_polynomial(grid, MultiPoly(n, terms))
+    T = condition_tensor(data)
+    T = np.array([Fraction(v) for v in T.flat], dtype=object).reshape(T.shape)
+    mats = [_exact_inverse(_confluent_factor(ax)).T for ax in grid.axes]
+    return HermiteInterpolant.from_polynomial(
+        grid, _to_multipoly(_mode_products(T, mats)))

@@ -303,9 +303,6 @@ class MultiPoly:
             e: c for e, c in self.terms.items() if abs(c) >= floor
         })
 
-    def map_coefficients(self, fn):
-        return MultiPoly(self.n, {e: fn(c) for e, c in self.terms.items()})
-
     def to_json_dict(self):
         terms = []
         for e in sorted(self.terms):
@@ -434,11 +431,6 @@ def jet_mul(a, b, order):
         for j in range(min(order - i, len(b) - 1) + 1):
             out[i + j] += ai * b[j]
     return out
-
-
-def uni_jet(u, x, order):
-    """Taylor jet of a UniPoly at x: [u(x), u'(x), u''(x)/2!, ...]."""
-    return u.taylor_at(x, order)
 
 
 def jet_derivatives(jet):

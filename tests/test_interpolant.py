@@ -1,5 +1,7 @@
+import itertools
 import random
 from fractions import Fraction as F
+from math import factorial
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from hermgrid.grid import Axis, GridSpec, HermiteData
 from hermgrid.interpolant import (
     HermiteInterpolant,
     build_basis,
+    _confluent_factor,
     _slot_derivatives,
     _slot_polys,
     build_lambda,
@@ -34,7 +37,7 @@ from hermgrid.interpolant import (
     vandermonde_interpolate,
 )
 from hermgrid.multiindex import enumerate_box, leq_partial
-from hermgrid.polyring import MultiPoly
+from hermgrid.polyring import MultiPoly, is_exact
 
 
 # -- coupling matrices ---------------------------------------------------
@@ -461,19 +464,127 @@ def test_spitzbart_random_1d():
             interpolate(data).expanded(force=True)
 
 
-def test_vandermonde_trivial_and_cap():
+def test_vandermonde_trivial_and_past_512_conditions():
     grid = GridSpec((Axis((F(-3),), 1),))
     data = HermiteData(grid, points={(0,): {(0,): F(11)}})
     assert vandermonde_interpolate(data).expanded() == mp(1, {(0,): 11})
 
+    # no condition cap: the 900-condition zero instance gives the zero
+    # polynomial, and a nonzero instance past 512 conditions matches the
+    # Lambda route
     big = GridSpec((Axis(tuple(range(10)), 3), Axis(tuple(range(10)), 3)))
     zeros = HermiteData(big, points={
         idx: {k: F(0) for k in enumerate_box(big.order_box(idx))}
         for idx in big.point_indices()
     })
     assert big.condition_count() == 900
-    with pytest.raises(ValueError, match="too many conditions"):
-        vandermonde_interpolate(zeros)
+    assert vandermonde_interpolate(zeros).expanded().is_zero()
+
+    grid = GridSpec((Axis((F(-2), F(1, 2), F(3)), 3),
+                     Axis((F(-1), F(0), F(5, 2)), 3),
+                     Axis((F(-3, 2), F(1)), (4, 3))))
+    assert grid.condition_count() == 567
+    data = random_data(random.Random(97), grid)
+    v = vandermonde_interpolate(data).expanded()
+    assert not v.is_zero()
+    assert v == interpolate(data).expanded(force=True)
+
+
+def _dense_confluent(grid):
+    """Confluent Vandermonde system assembled row by row: one row per
+    condition, in slot-tensor order (per axis node-major, order-minor),
+    one column per monomial x^e, in exponent-tensor order.  Entry
+    d^k x^e at the node.  Also returns the slot labels (node, order)."""
+    slots = [[(j, a, k) for j, (a, m) in enumerate(zip(ax.coords, ax.mult))
+              for k in range(m)] for ax in grid.axes]
+    exps = list(itertools.product(*[range(ax.condition_count)
+                                    for ax in grid.axes]))
+    rows, labels = [], []
+    for cond in itertools.product(*slots):
+        row = []
+        for e in exps:
+            v = F(1)
+            for (_, a, k), ei in zip(cond, e):
+                v *= 0 if ei < k else \
+                    F(factorial(ei), factorial(ei - k)) * F(a) ** (ei - k)
+            row.append(v)
+        rows.append(row)
+        labels.append((tuple(j for j, _, _ in cond),
+                       tuple(k for _, _, k in cond)))
+    return rows, labels, exps
+
+
+def _solve_dense(A, b):
+    """Exact solution of A x = b, Gauss-Jordan with row pivoting."""
+    m = len(b)
+    W = [list(r) + [v] for r, v in zip(A, b)]
+    for c in range(m):
+        p = next(r for r in range(c, m) if W[r][c] != 0)
+        W[c], W[p] = W[p], W[c]
+        for r in range(m):
+            if r != c and W[r][c] != 0:
+                f = W[r][c] / W[c][c]
+                W[r] = [x - f * y for x, y in zip(W[r], W[c])]
+    return [W[r][m] / W[r][r] for r in range(m)]
+
+
+def test_vandermonde_is_kronecker_of_axis_factors():
+    rng = random.Random(107)
+    dims = set()
+    for _ in range(12):
+        grid = random_grid(rng, max_conditions=64)
+        data = random_data(rng, grid)
+        rows, labels, exps = _dense_confluent(grid)
+        kron = np.ones((1, 1), dtype=object)
+        for ax in grid.axes:
+            kron = np.kron(kron, _confluent_factor(ax))
+        assert kron.tolist() == rows
+        coeffs = _solve_dense(rows, [data.points[j][k] for j, k in labels])
+        want = {e: c for e, c in zip(exps, coeffs) if c != 0}
+        assert vandermonde_interpolate(data).expanded().terms == want
+        dims.add(grid.n)
+    assert dims == {1, 2, 3}
+
+
+def _dense_layout(grid, values):
+    """Dense per-order tensors holding float(values[idx][k]); zero where
+    order k is not prescribed at a node."""
+    orders = {k for entries in values.values() for k in entries}
+    tensors = {k: np.zeros(grid.shape) for k in orders}
+    for idx, entries in values.items():
+        for k, v in entries.items():
+            tensors[k][idx] = float(v)
+    return HermiteData(grid, tensors=tensors)
+
+
+def test_reference_routes_accept_dense_data():
+    rng = random.Random(109)
+    for _ in range(6):
+        grid = random_grid(rng, max_conditions=64)
+        # dyadic values, so the Binary64 layouts hold them exactly
+        values = {idx: {k: F(rng.randint(-16, 16), 4)
+                        for k in enumerate_box(grid.order_box(idx))}
+                  for idx in grid.point_indices()}
+        exact = HermiteData(grid, points=values)
+        floats = HermiteData(grid, points={
+            idx: {k: float(v) for k, v in entries.items()}
+            for idx, entries in values.items()})
+        dense = _dense_layout(grid, values)
+        assert dense.dense and not dense.validate()
+        ref = interpolate(exact).expanded(force=True)
+        # Vandermonde converts the values to Fractions: exact on all three
+        for d in (exact, floats, dense):
+            assert vandermonde_interpolate(d).expanded() == ref
+        # Spitzbart keeps the value type: Binary64 on both float layouts,
+        # from one condition tensor, so bit for bit equal
+        a = spitzbart_interpolate(dense).expanded()
+        assert a == spitzbart_interpolate(floats).expanded()
+        assert spitzbart_interpolate(exact).expanded() == ref
+        keys = set(a.terms) | set(ref.terms)
+        top = max([abs(c) for c in ref.terms.values()], default=1)
+        assert all(abs(a.terms.get(e, 0) - ref.terms.get(e, 0)) <= 1e-9 * top
+                   for e in keys)
+        assert not any(is_exact(c) for c in a.terms.values())
 
 
 def test_vandermonde_matches_division_remainder():
