@@ -88,15 +88,6 @@ def _max_residual(residuals):
     return float(np.max([float(r) for r in residuals], initial=0.0))
 
 
-def _order_sublattices(grid):
-    """(k, per-axis node indices) for every derivative order k the grid
-    prescribes: the nodes whose multiplicity exceeds k_i on every axis,
-    which form a sub-lattice."""
-    for k in itertools.product(*[range(max(ax.mult)) for ax in grid.axes]):
-        yield k, [[j for j, m in enumerate(ax.mult) if m > e]
-                  for ax, e in zip(grid.axes, k)]
-
-
 def _max_condition_residual(f, data):
     """Largest |d^k f(a) - t_a^k| over all conditions, one `eval_lattice`
     per order k on the nodes prescribing it.  Exact data stays exact, so
@@ -104,14 +95,12 @@ def _max_condition_residual(f, data):
     import numpy as np
 
     grid = data.grid
-    dtype = object if data.is_exact() else float
+    want = data.tensors
     parts = []
-    for k, nodes in _order_sublattices(grid):
+    for k, nodes, _ in grid.order_sublattices():
         got = f.eval_lattice([[ax.coords[j] for j in js]
                               for ax, js in zip(grid.axes, nodes)], k)
-        want = np.array([data.value(idx, k) for idx in itertools.product(*nodes)],
-                        dtype=dtype)
-        parts.append(abs(got.ravel() - want))
+        parts.append(abs(got - want[k]).ravel())
     return _max_residual(np.concatenate(parts))
 
 
@@ -256,24 +245,22 @@ def cmd_resample(args):
     else:
         raise CliError("resample requires --step", EXIT_INPUT)
     ev = _evaluator(data, args.window)
-    pts = {}
     for idx in target.point_indices():
         a = target.coords(idx)
         if not grid.contains(a):
             raise CliError(f"resample node {a} outside source hull",
                            EXIT_DOMAIN)
-        pts[idx] = {}
     # one batch per derivative order, over the target nodes prescribing it
-    for k, nodes in _order_sublattices(target):
-        idxs = list(itertools.product(*nodes))
-        batch = np.array([target.coords(idx) for idx in idxs], dtype=float)
+    T = np.empty(tuple(ax.condition_count for ax in target.axes))
+    for k, nodes, cells in target.order_sublattices():
+        batch = np.array([target.coords(idx)
+                          for idx in itertools.product(*nodes)], dtype=float)
         try:
             vals = ev.eval_many(batch, k)
         except ValueError as e:
             raise CliError(str(e), EXIT_INPUT)
-        for idx, v in zip(idxs, vals):
-            pts[idx][k] = float(v)
-    dump_hgrid(HermiteData(target, points=pts), args.out)
+        T[cells] = vals.reshape([len(js) for js in nodes])
+    dump_hgrid(HermiteData(target, slots=T), args.out)
     return EXIT_OK
 
 
@@ -453,7 +440,6 @@ def make_parser():
     c.add_argument("--mult", required=True)
     c.add_argument("--grid-step", dest="grid_step")
     c.add_argument("--window")
-    c.add_argument("--seed", type=int, default=42)
     c.add_argument("--out", default="-")
     c.set_defaults(fn=cmd_compare)
 

@@ -6,10 +6,10 @@ carrying a multiplicity nu_i(a) >= 1: the number of derivative orders
 identified by integer index vectors into the axes, never by comparing
 floating-point coordinates.
 
-HermiteData holds the prescribed values t_a^k.  Two storage layouts are
-supported: a per-point mapping (exact fixtures, JSON files) and a dense
-per-order tensor layout (harness-sampled data on large grids, where a
-dict per grid point would be prohibitive).
+HermiteData holds the prescribed values t_a^k as one condition tensor in
+per-axis slot layout (node-major, order-minor), the tensor every
+interpolation route reads.  Per-point mappings (fixtures, HGRID files)
+are converted to it once, at construction.
 
 File format (HGRID JSON):
 
@@ -25,7 +25,8 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite
+from math import isfinite, prod
+from operator import mul
 
 import numpy as np
 
@@ -138,6 +139,40 @@ class GridSpec:
     def contains(self, x):
         return all(lo <= xi <= hi for xi, (lo, hi) in zip(x, self.hull()))
 
+    def slot(self, idx, k):
+        """Position of condition (point idx, order k) in the per-axis slot
+        layout: per axis, the node's slot offset plus k_i."""
+        return tuple(sum(ax.mult[:i]) + e for ax, i, e in zip(self.axes, idx, k))
+
+    def order_sublattices(self):
+        """(k, nodes, cells) for every derivative order k the grid
+        prescribes.  `nodes` lists per axis the nodes whose multiplicity
+        exceeds k_i, which form a sub-lattice; `cells` is the `np.ix_`
+        index of their order-k slots in the condition tensor."""
+        offs = [ax.slot_offsets() for ax in self.axes]
+        for k in itertools.product(*[range(max(ax.mult)) for ax in self.axes]):
+            nodes = [[j for j, m in enumerate(ax.mult) if m > e]
+                     for ax, e in zip(self.axes, k)]
+            yield k, nodes, np.ix_(*[[o[j] + e for j in js]
+                                     for o, js, e in zip(offs, nodes, k)])
+
+    def point_slots(self):
+        """(index, orders, flat positions) of every grid point: its
+        derivative orders in graded order and where each sits in the
+        flattened condition tensor."""
+        strides = [prod(ax.condition_count for ax in self.axes[i + 1:])
+                   for i in range(self.n)]
+        offs = [ax.slot_offsets() for ax in self.axes]
+        boxes = {}
+        for idx in self.point_indices():
+            m = self.mult(idx)
+            if m not in boxes:
+                box = enumerate_box(order_box(tuple(e - 1 for e in m)))
+                boxes[m] = box, [sum(map(mul, k, strides)) for k in box]
+            box, steps = boxes[m]
+            first = sum(o[i] * st for o, i, st in zip(offs, idx, strides))
+            yield idx, box, [first + step for step in steps]
+
     def subgrid(self, corner, widths):
         return GridSpec([
             Axis(ax.coords[c:c + w], ax.mult[c:c + w])
@@ -173,106 +208,80 @@ def axis_annihilator(axis, var=0):
 
 
 class HermiteData:
-    """Prescribed jets t_a^k over a grid.
+    """Prescribed jets t_a^k over a grid, stored as one read-only
+    condition tensor `slots`: t_a^k sits at `grid.slot(a, k)`.  It holds
+    Fractions when every value is exact and float64 otherwise.  Pass it
+    (`slots=`), or a per-point mapping {index vector: {k: value}}
+    (`points=`), which must prescribe exactly the grid's conditions."""
 
-    Storage is either `points`: {index vector: {k: value}} or `tensors`:
-    {k: ndarray over the grid shape} (dense layout for sampled data).
-    """
-
-    def __init__(self, grid, points=None, tensors=None):
-        if (points is None) == (tensors is None):
-            raise ValueError("exactly one of points/tensors required")
+    def __init__(self, grid, points=None, slots=None):
+        if (points is None) == (slots is None):
+            raise ValueError("exactly one of points/slots required")
+        if points is not None:
+            slots = _points_to_slots(grid, points)
+        slots = np.asarray(slots)
+        if slots.dtype != object:
+            slots = slots.astype(float, copy=False)
+        shape = tuple(ax.condition_count for ax in grid.axes)
+        if slots.shape != shape:
+            raise ValueError(f"slots of shape {slots.shape}, grid needs {shape}")
+        slots.flags.writeable = False
         self.grid = grid
-        self.points = points
-        self.tensors = tensors
-
-    @property
-    def dense(self):
-        return self.tensors is not None
+        self.slots = slots
 
     def value(self, idx, k):
-        if self.dense:
-            return self.tensors[k][idx]
-        return self.points[idx][k]
+        if any(e >= m for e, m in zip(k, self.grid.mult(idx))):
+            raise KeyError(f"order {k} is not prescribed at point {idx}")
+        return self.slots[self.grid.slot(idx, k)]
+
+    @property
+    def tensors(self):
+        """Read-only per-order view {k: array}: the values of order k on
+        the sub-lattice of nodes prescribing it, which is the whole grid
+        when every node of an axis has the same multiplicity."""
+        out = {k: self.slots[cells] for k, _, cells in self.grid.order_sublattices()}
+        for view in out.values():
+            view.flags.writeable = False
+        return out
 
     def is_exact(self):
-        if self.dense:
-            return False
-        return all(
-            is_exact(v) for vs in self.points.values() for v in vs.values()
-        ) and all(is_exact(c) for ax in self.grid.axes for c in ax.coords)
+        return self.slots.dtype == object and all(
+            is_exact(c) for ax in self.grid.axes for c in ax.coords)
 
     def validate(self):
         """Return a list of violation strings; empty means ok."""
         out = []
         for i, ax in enumerate(self.grid.axes):
             out.extend(ax.violations(f"axis {i + 1}"))
-        if out:
+        if out or self.slots.dtype == object:
             return out
-        if self.dense:
-            maxbox = set()
-            for idx in self.grid.point_indices():
-                maxbox |= set(enumerate_box(self.grid.order_box(idx)))
-            missing = maxbox - set(self.tensors)
-            for k in sorted(missing):
-                out.append(f"dense data: missing order tensor {k}")
-            for k in sorted(maxbox & set(self.tensors)):
-                if not np.isfinite(self.tensors[k]).all():
-                    out.append(f"dense data: non-finite value in order {k}")
-            return out
-        seen = set()
-        for idx, entries in self.points.items():
-            if not all(0 <= i < ax.npoints for i, ax in zip(idx, self.grid.axes)):
-                out.append(f"point {idx}: index out of range")
-                continue
-            seen.add(idx)
-            box = set(enumerate_box(self.grid.order_box(idx)))
-            keys = set(entries)
-            for k in sorted(box - keys):
-                out.append(f"point {idx}: missing {k}")
-            for k in sorted(keys - box):
-                out.append(f"point {idx}: extra {k}")
-            for k in sorted(k for k, v in entries.items() if _nonfinite(v)):
-                out.append(f"point {idx}: non-finite value at {k}")
-        for idx in self.grid.point_indices():
-            if idx not in seen:
-                out.append(f"point {idx}: absent")
+        # (node, order) of every slot, per axis
+        owner = [[(j, e) for j, m in enumerate(ax.mult) for e in range(m)]
+                 for ax in self.grid.axes]
+        for cell in np.argwhere(~np.isfinite(self.slots)):
+            idx, k = zip(*(owner[i][s] for i, s in enumerate(cell)))
+            out.append(f"point {idx}: non-finite value at {k}")
         return out
 
     def sub_data(self, corner, widths):
-        """Restriction to the window sub-grid (shared arrays, no copy of
-        dense tensors beyond the slice views)."""
-        sub = self.grid.subgrid(corner, widths)
-        if self.dense:
-            sl = tuple(slice(c, c + w) for c, w in zip(corner, widths))
-            need = set()
-            for idx in sub.point_indices():
-                need |= set(enumerate_box(sub.order_box(idx)))
-            return HermiteData(sub, tensors={k: self.tensors[k][sl] for k in need})
-        pts = {}
-        for idx in sub.point_indices():
-            src = tuple(c + i for c, i in zip(corner, idx))
-            box = enumerate_box(sub.order_box(idx))
-            pts[idx] = {k: self.points[src][k] for k in box}
-        return HermiteData(sub, points=pts)
+        """Restriction to the window sub-grid: a view of the window's
+        block of the condition tensor, no copy."""
+        cells = tuple(slice(sum(ax.mult[:c]), sum(ax.mult[:c + w]))
+                      for ax, c, w in zip(self.grid.axes, corner, widths))
+        return HermiteData(self.grid.subgrid(corner, widths), slots=self.slots[cells])
 
     # -- HGRID JSON -------------------------------------------------
 
     def to_json_dict(self):
-        if self.dense:
-            raise ValueError("dense data is not serialized; use point layout")
         def enc(v):
             if isinstance(v, Fraction):
                 return f"{v.numerator}/{v.denominator}"
             return v
-        pts = []
-        for idx in self.grid.point_indices():
-            entries = self.points[idx]
-            pts.append({
-                "index": list(idx),
-                "t": [{"k": list(k), "value": enc(entries[k])}
-                      for k in enumerate_box(self.grid.order_box(idx))],
-            })
+        flat = self.slots.ravel().tolist()
+        pts = [{"index": list(idx),
+                "t": [{"k": list(k), "value": enc(flat[p])}
+                      for k, p in zip(box, where)]}
+               for idx, box, where in self.grid.point_slots()]
         return {
             "dims": self.grid.n,
             "axes": [[enc(c) for c in ax.coords] for ax in self.grid.axes],
@@ -296,6 +305,38 @@ class HermiteData:
             pts[idx] = {tuple(e["k"]): parse_coefficient(e["value"])
                         for e in rec["t"]}
         return cls(grid, points=pts)
+
+
+def _points_to_slots(grid, points):
+    """Condition tensor of a per-point mapping {index: {k: value}}.
+    Raises ValueError naming the violations: axes without a slot layout
+    (multiplicities that do not match the nodes), or points out of
+    range, absent, or missing or adding derivative orders."""
+    if any(len(ax.mult) != ax.npoints or min(ax.mult, default=1) < 1
+           for ax in grid.axes):
+        raise ValueError("; ".join(v for i, ax in enumerate(grid.axes)
+                                   for v in ax.violations(f"axis {i + 1}")))
+    inside = set(grid.point_indices())
+    bad = [f"point {idx}: index out of range" for idx in points if idx not in inside]
+    flat, vals = [], []
+    for idx, box, where in grid.point_slots():
+        entries = points.get(idx)
+        if entries is None:
+            bad.append(f"point {idx}: absent")
+        elif entries.keys() != set(box):
+            bad += [f"point {idx}: missing {k}" for k in sorted(set(box) - set(entries))]
+            bad += [f"point {idx}: extra {k}" for k in sorted(set(entries) - set(box))]
+        else:
+            flat += where
+            vals += [entries[k] for k in box]
+    if bad:
+        raise ValueError("; ".join(bad[:8]))
+    exact = all(map(is_exact, vals))
+    T = np.empty(grid.condition_count(), dtype=object if exact else float)
+    # ints become Fractions, so exact data holds one type
+    T[flat] = [v if isinstance(v, Fraction) else Fraction(v)
+               for v in vals] if exact else vals
+    return T.reshape(tuple(ax.condition_count for ax in grid.axes))
 
 
 def load_hgrid(path):

@@ -281,8 +281,12 @@ class TestFunction:
 
 
 def derive_data(f, grid, chunk=200_000):
-    """Sample a function and all grid-required mixed partials into dense
-    Hermite data, slabbed along the first axis to bound peak memory."""
+    """Sample a function and all grid-required mixed partials into the
+    condition tensor, slabbed along the first axis to bound peak memory.
+    Every order below an axis's largest multiplicity is sampled at every
+    node, into a (node, order) pair of dimensions per axis; the slot
+    tensor keeps the pairs the axis prescribes, node-major, which are all
+    of them when the axis's multiplicities are equal."""
     n = grid.n
     if isinstance(f, str):
         f = TestFunction(f, n)
@@ -290,11 +294,8 @@ def derive_data(f, grid, chunk=200_000):
     keys = list(itertools.product(*(range(m + 1) for m in kmax)))
     coords = [np.array([float(c) for c in ax.coords]) for ax in grid.axes]
     shape = grid.shape
-    tensors = {k: np.empty(shape) for k in keys}
-    rest = 1
-    for s in shape[1:]:
-        rest *= s
-    slab = max(1, chunk // max(rest, 1))
+    jets_at = np.empty([d for s, m in zip(shape, kmax) for d in (s, m + 1)])
+    slab = max(1, chunk // max(int(np.prod(shape[1:])), 1))
     scales = {k: np.prod([factorial(e) for e in k]) for k in keys}
     for s0 in range(0, shape[0], slab):
         sl = slice(s0, min(s0 + slab, shape[0]))
@@ -305,9 +306,15 @@ def derive_data(f, grid, chunk=200_000):
             out = TensorJet(kmax, {(0,) * n: out})
         for k in keys:
             c = out.coef.get(k, 0.0)
-            tensors[k][sl] = np.broadcast_to(
+            cell = (sl, k[0]) + sum(((slice(None), e) for e in k[1:]), ())
+            jets_at[cell] = np.broadcast_to(
                 np.asarray(c, dtype=float) * scales[k], mesh[0].shape)
-    return HermiteData(grid, tensors=tensors)
+    T = jets_at.reshape([s * (m + 1) for s, m in zip(shape, kmax)])
+    for i, (ax, m) in enumerate(zip(grid.axes, kmax)):
+        if ax.condition_count < T.shape[i]:
+            T = np.take(T, [j * (m + 1) + e for j, mj in enumerate(ax.mult)
+                            for e in range(mj)], axis=i)
+    return HermiteData(grid, slots=T)
 
 
 _FD_STENCILS = {
@@ -360,12 +367,7 @@ def multilinear_baseline(data, pts):
     if any(m != 1 for ax in grid.axes for m in ax.mult):
         raise ValueError("baseline is defined for multiplicity 1 data")
     n = grid.n
-    if data.dense:
-        values = data.tensors[(0,) * n]
-    else:
-        values = np.empty(grid.shape)
-        for idx in grid.point_indices():
-            values[idx] = float(data.points[idx][(0,) * n])
+    values = np.asarray(data.tensors[(0,) * n], dtype=float)
     pts = np.asarray(pts, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]

@@ -43,7 +43,7 @@ from math import comb, factorial, perm
 
 import numpy as np
 
-from .grid import GridSpec, HermiteData, nodal_basis
+from .grid import nodal_basis
 from .multiindex import enumerate_box
 from .polyring import (
     MultiPoly,
@@ -184,28 +184,10 @@ def build_basis(grid, idx, k):
 
 
 def condition_tensor(data):
-    """Prescribed data arranged as one tensor, per-axis slot layout
-    (node-major, order-minor).  Every cell is exactly one condition."""
-    grid = data.grid
-    shape = tuple(ax.condition_count for ax in grid.axes)
-    offs = [ax.slot_offsets() for ax in grid.axes]
-    if data.dense:
-        T = np.zeros(shape)
-        for k, arr in data.tensors.items():
-            src, dst = [], []
-            for i, ax in enumerate(grid.axes):
-                nodes = [j for j, m in enumerate(ax.mult) if k[i] < m]
-                src.append(nodes)
-                dst.append([offs[i][j] + k[i] for j in nodes])
-            T[np.ix_(*dst)] = np.asarray(arr, dtype=float)[np.ix_(*src)]
-        return T
-    exact = data.is_exact()
-    T = np.empty(shape, dtype=object) if exact else np.zeros(shape)
-    for idx, entries in data.points.items():
-        for k, v in entries.items():
-            slot = tuple(offs[i][idx[i]] + k[i] for i in range(grid.n))
-            T[slot] = Fraction(v) if exact else float(v)
-    return T
+    """The data's stored condition tensor (per-axis slot layout,
+    node-major, order-minor; every cell is exactly one condition), as
+    float64 unless the data is exact."""
+    return data.slots.astype(object if data.is_exact() else float, copy=False)
 
 
 def _solve_along_axis(T, axis_obj, lams, ax_i):
@@ -523,12 +505,8 @@ class HermiteInterpolant:
         slot tensor belonging to its derivative box, graded order."""
         if self.xi is None:
             raise ValueError("polynomial-backed interpolant has no slot tensor")
-        offs = [ax.slot_offsets() for ax in self.grid.axes]
-        box = enumerate_box(self.grid.order_box(idx))
-        return [
-            self.xi[tuple(offs[i][idx[i]] + k[i] for i in range(self.grid.n))]
-            for k in box
-        ]
+        return [self.xi[self.grid.slot(idx, k)]
+                for k in enumerate_box(self.grid.order_box(idx))]
 
     def to_json_dict(self, form="factored"):
         """Serialize: "expanded" emits the plain polynomial record,
@@ -541,14 +519,9 @@ class HermiteInterpolant:
             if isinstance(v, Fraction):
                 return f"{v.numerator}/{v.denominator}"
             return float(v)
-        pts = []
-        for idx in self.grid.point_indices():
-            box = enumerate_box(self.grid.order_box(idx))
-            pts.append({
-                "index": list(idx),
-                "basis": [list(k) for k in box],
-                "xi": [enc(v) for v in self.point_xi(idx)],
-            })
+        pts = [{"index": list(idx), "basis": [list(k) for k in box],
+                "xi": [enc(v) for v in self.point_xi(idx)]}
+               for idx, box, _ in self.grid.point_slots()]
         return {
             "form": "factored",
             "dims": self.grid.n,
@@ -561,8 +534,8 @@ class HermiteInterpolant:
 def interpolate(data, validate=True):
     """Build the interpolant for prescribed Hermite data.
 
-    Exact point data yields an exact (rational) interpolant; dense or
-    float data yields a Binary64 one.
+    Exact values on exact coordinates yield an exact (rational)
+    interpolant; any Binary64 value or coordinate yields a Binary64 one.
     """
     if validate:
         bad = data.validate()
@@ -651,12 +624,12 @@ def _exact_inverse(A):
 def vandermonde_interpolate(data):
     """Exact solve against the monomial basis.  The confluent Vandermonde
     matrix is V_1 x ... x V_n, so the monomial coefficients are the
-    condition tensor, converted to Fractions, taken through V_i^-T by mode
-    products; each factor is inverted exactly and is as small as one
-    axis's condition count."""
+    stored condition tensor, converted to Fractions (so exact values stay
+    exact on float coordinates), taken through V_i^-T by mode products;
+    each factor is inverted exactly and is as small as one axis's
+    condition count."""
     grid = data.grid
-    T = condition_tensor(data)
-    T = np.array([Fraction(v) for v in T.flat], dtype=object).reshape(T.shape)
+    T = np.vectorize(Fraction, otypes=[object])(data.slots)
     mats = [_exact_inverse(_confluent_factor(ax)).T for ax in grid.axes]
     return HermiteInterpolant.from_polynomial(
         grid, _to_multipoly(_mode_products(T, mats)))

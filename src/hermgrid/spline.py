@@ -149,7 +149,6 @@ class SplineInterpolant:
         self.data = data
         self.grid = grid
         self._cache = {}
-        self._tensor = None  # float condition tensor, built on first batch
         self._windows = {}  # (axis, start) -> window sub-axis, float blocks
 
     def select_window(self, x):
@@ -205,9 +204,7 @@ class SplineInterpolant:
         orders = k or (0,) * self.grid.n
         if not len(pts):
             return np.empty(0)
-        if self._tensor is None:
-            self._tensor = np.asarray(interpolant.condition_tensor(self.data),
-                                      dtype=float)
+        tensor = np.asarray(interpolant.condition_tensor(self.data), dtype=float)
         slots, weights = [], []
         for i, (ax, w) in enumerate(zip(self.grid.axes, self.window)):
             starts = window_starts(ax, w, pts[:, i])
@@ -234,7 +231,7 @@ class SplineInterpolant:
                 ix = first[sl, None] + np.minimum(np.arange(m), count[sl, None] - 1)
                 index.append(ix.reshape([-1] + [m if j == i else 1
                                                 for j in range(len(sizes))]))
-            block = self._tensor[tuple(index)]
+            block = tensor[tuple(index)]
             for c in reversed(weights):
                 block = np.matmul(block.reshape(len(block), -1, c.shape[1]),
                                   c[sl, :, None])

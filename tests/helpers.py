@@ -32,12 +32,22 @@ def unit_square_nu2():
     return GridSpec((Axis((0, 1), 2), Axis((0, 1), 2)))
 
 
-def ones_data(grid):
-    pts = {
+def ones_points(grid):
+    return {
         idx: {k: F(1) for k in enumerate_box(grid.order_box(idx))}
         for idx in grid.point_indices()
     }
-    return HermiteData(grid, points=pts)
+
+
+def ones_data(grid):
+    return HermiteData(grid, points=ones_points(grid))
+
+
+def conditions(data):
+    """(index, order, value) of every condition the data prescribes."""
+    for idx in data.grid.point_indices():
+        for k in enumerate_box(data.grid.order_box(idx)):
+            yield idx, k, data.value(idx, k)
 
 
 # Coupling matrices printed for the 2x2 grid, labeled there as inverses.
@@ -199,9 +209,7 @@ def float_data(data):
     """Binary64 copy of exact point data: coordinates and values."""
     grid = GridSpec([Axis([float(c) for c in ax.coords], ax.mult)
                      for ax in data.grid.axes])
-    return HermiteData(grid, points={
-        idx: {k: float(v) for k, v in entries.items()}
-        for idx, entries in data.points.items()})
+    return HermiteData(grid, slots=data.slots.astype(float))
 
 
 def binary64_case(seed):

@@ -17,6 +17,7 @@ from helpers import (
     R3_CONSISTENT,
     SEVEN_NODE_VALUES,
     bilinear_poly,
+    conditions,
     division_grid_3d,
     division_poly_3d,
     ones_data,
@@ -164,8 +165,7 @@ def cube_files(tmp_path):
                       (0, 0, 0): F(7)})
     exact = sample_poly_data(g, GridSpec([Axis([F(c) for c in ax], 2)
                                           for ax in axes]))
-    data = HermiteData(grid, points={
-        idx: {k: float(v) for k, v in e.items()} for idx, e in exact.points.items()})
+    data = HermiteData(grid, slots=exact.slots.astype(float))
     path = tmp_path / "cube.json"
     dump_hgrid(data, str(path))
     pts = tmp_path / "pts.csv"
@@ -437,10 +437,9 @@ def test_resample_derivative_orders_match_the_polynomial(tmp_path, capsys):
         fine = load_hgrid(str(target))
         assert fine.validate() == []
         assert fine.grid.condition_count() == 10 * 15 * 4
-        for idx, entries in fine.points.items():
+        for idx, k, v in conditions(fine):
             a = tuple(F(c) for c in fine.grid.coords(idx))
-            for k, v in entries.items():
-                assert abs(v - g.differentiate(k)(a)) <= 1e-10, window
+            assert abs(v - g.differentiate(k)(a)) <= 1e-10, window
 
 
 def test_resample_rejects_steps_that_overshoot_the_hull(tmp_path, capsys):

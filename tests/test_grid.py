@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from helpers import ones_data, unit_square_nu2
+from helpers import ones_data, ones_points, unit_square_nu2
 from hermgrid.grid import (
     Axis,
     GridSpec,
@@ -38,26 +38,33 @@ def test_axis_violations():
 
 def test_validate_complete_data_ok():
     data = ones_data(unit_square_nu2())
-    # 2x2 grid, nu (2,2): four derivative entries per point
-    assert all(len(v) == 4 for v in data.points.values())
+    # 2x2 grid, nu (2,2): four derivative entries per point, 4x4 slots
+    assert data.slots.shape == (4, 4)
     assert data.validate() == []
 
 
+def _violations(grid, pts):
+    with pytest.raises(ValueError) as err:
+        HermiteData(grid, points=pts)
+    return str(err.value).split("; ")
+
+
 def test_validate_missing_entry():
-    data = ones_data(unit_square_nu2())
-    del data.points[(1, 1)][(1, 1)]
-    assert data.validate() == ["point (1, 1): missing (1, 1)"]
+    grid = unit_square_nu2()
+    pts = ones_points(grid)
+    del pts[(1, 1)][(1, 1)]
+    assert _violations(grid, pts) == ["point (1, 1): missing (1, 1)"]
 
 
 def test_validate_extra_entry_and_absent_point():
-    data = ones_data(unit_square_nu2())
-    data.points[(0, 0)][(5, 0)] = F(0)
-    out = data.validate()
-    assert "point (0, 0): extra (5, 0)" in out
+    grid = unit_square_nu2()
+    pts = ones_points(grid)
+    pts[(0, 0)][(5, 0)] = F(0)
+    assert "point (0, 0): extra (5, 0)" in _violations(grid, pts)
 
-    data = ones_data(unit_square_nu2())
-    del data.points[(0, 1)]
-    assert data.validate() == ["point (0, 1): absent"]
+    pts = ones_points(grid)
+    del pts[(0, 1)]
+    assert _violations(grid, pts) == ["point (0, 1): absent"]
 
 
 def test_validate_duplicate_coordinate():
@@ -65,18 +72,22 @@ def test_validate_duplicate_coordinate():
     pts = {(i,): {(0,): F(1)} for i in range(3)}
     data = HermiteData(grid, points=pts)
     assert data.validate() == ["axis 1: duplicate coordinate"]
+    # multiplicities that give no slot layout are refused on conversion
+    grid = GridSpec((Axis((0, 1, 2), (1, 1)),))
+    assert _violations(grid, pts) == ["axis 1: coords/mult length mismatch"]
 
 
 def test_validate_non_finite_values():
-    data = ones_data(unit_square_nu2())
-    data.points[(1, 0)][(0, 1)] = float("nan")
-    data.points[(0, 1)][(0, 0)] = float("-inf")
-    assert sorted(data.validate()) == [
+    grid = unit_square_nu2()
+    pts = ones_points(grid)
+    pts[(1, 0)][(0, 1)] = float("nan")
+    pts[(0, 1)][(0, 0)] = float("-inf")
+    assert sorted(HermiteData(grid, points=pts).validate()) == [
         "point (0, 1): non-finite value at (0, 0)",
         "point (1, 0): non-finite value at (0, 1)"]
     grid = GridSpec((Axis((0.0, 1.0, 2.0)),))
-    dense = HermiteData(grid, tensors={(0,): np.array([1.0, np.inf, 2.0])})
-    assert dense.validate() == ["dense data: non-finite value in order (0,)"]
+    sampled = HermiteData(grid, slots=np.array([1.0, np.inf, 2.0]))
+    assert sampled.validate() == ["point (1,): non-finite value at (0,)"]
 
 
 def test_hgrid_non_finite_values_rejected():
@@ -94,8 +105,7 @@ def test_hgrid_non_finite_values_rejected():
 
 def test_validate_index_out_of_range():
     grid = GridSpec((Axis((0, 1)),))
-    data = HermiteData(grid, points={(0,): {(0,): F(1)}, (7,): {(0,): F(1)}})
-    out = data.validate()
+    out = _violations(grid, {(0,): {(0,): F(1)}, (7,): {(0,): F(1)}})
     assert "point (7,): index out of range" in out
 
 
@@ -212,52 +222,58 @@ def test_hermite_data_layouts():
     with pytest.raises(ValueError):
         HermiteData(grid)
     with pytest.raises(ValueError):
-        HermiteData(grid, points={}, tensors={})
+        HermiteData(grid, points=ones_points(grid), slots=np.ones((4, 4)))
+    with pytest.raises(ValueError, match="shape"):
+        HermiteData(grid, slots=np.ones((2, 2)))
 
     data = ones_data(grid)
-    assert not data.dense
+    assert data.slots.dtype == object
     assert data.value((0, 1), (1, 0)) == 1
     assert data.is_exact()
+    with pytest.raises(KeyError):
+        data.value((0, 1), (2, 0))
 
-    data.points[(0, 0)][(0, 0)] = 0.5
+    pts = ones_points(grid)
+    pts[(0, 0)][(0, 0)] = 0.5
+    data = HermiteData(grid, points=pts)
+    assert data.slots.dtype == float
     assert not data.is_exact()
+    # exact values on float coordinates are stored exactly
+    fgrid = GridSpec([Axis((0.0, 1.0), 2)] * 2)
+    data = HermiteData(fgrid, points=ones_points(fgrid))
+    assert data.slots.dtype == object and not data.is_exact()
 
 
-def test_dense_tensor_layout():
-    grid = unit_square_nu2()
-    tensors = {k: np.full((2, 2), 1.0) for k in enumerate_box(order_box((1, 1)))}
-    data = HermiteData(grid, tensors=tensors)
-    assert data.dense
-    assert data.value((1, 0), (0, 1)) == 1.0
+def test_slot_tensor_layout():
+    grid = GridSpec((Axis((0, 1, 2), (1, 2, 1)), Axis((0, 1), 2)))
+    slots = np.arange(16.0).reshape(4, 4)
+    data = HermiteData(grid, slots=slots)
+    assert data.value((1, 0), (1, 1)) == slots[2, 1]
     assert data.validate() == []
     assert not data.is_exact()
+    with pytest.raises(ValueError, match="read-only"):
+        data.slots[0, 0] = 1.0
+    # per-order view: order (1, k2) only on the middle node of axis 1
+    view = data.tensors
+    assert set(view) == set(enumerate_box(order_box((1, 1))))
+    assert view[(0, 1)].tolist() == [[1.0, 3.0], [5.0, 7.0], [13.0, 15.0]]
+    assert view[(1, 0)].tolist() == [[8.0, 10.0]]
+    with pytest.raises(ValueError, match="read-only"):
+        view[(0, 0)][0, 0] = 1.0
 
-    del tensors[(1, 1)]
-    data = HermiteData(grid, tensors=tensors)
-    assert data.validate() == ["dense data: missing order tensor (1, 1)"]
 
-
-def test_sub_data_matches_between_layouts():
+def test_sub_data_is_a_view_of_the_window():
     grid = GridSpec((Axis((0, 1, 2), 2), Axis((0, 1), 1)))
     rng = random.Random(5)
-    tensors = {
-        k: np.array([[rng.random() for _ in range(2)] for _ in range(3)])
-        for k in enumerate_box(order_box((1, 0)))
-    }
-    dense = HermiteData(grid, tensors=tensors)
-    pts = {
-        idx: {k: tensors[k][idx] for k in enumerate_box(grid.order_box(idx))}
-        for idx in grid.point_indices()
-    }
-    sparse = HermiteData(grid, points=pts)
-
-    for layout in (dense, sparse):
-        sub = layout.sub_data((1, 0), (2, 2))
-        assert sub.grid.axes[0].coords == (1, 2)
-        for idx in sub.grid.point_indices():
-            src = (idx[0] + 1, idx[1])
-            for k in enumerate_box(sub.grid.order_box(idx)):
-                assert sub.value(idx, k) == tensors[k][src]
+    slots = np.array([[rng.random() for _ in range(2)] for _ in range(6)])
+    data = HermiteData(grid, slots=slots)
+    sub = data.sub_data((1, 0), (2, 2))
+    assert sub.grid.axes[0].coords == (1, 2)
+    assert np.shares_memory(sub.slots, data.slots)
+    for idx in sub.grid.point_indices():
+        src = (idx[0] + 1, idx[1])
+        for k in enumerate_box(sub.grid.order_box(idx)):
+            assert sub.value(idx, k) == data.value(src, k)
 
 
 def test_hgrid_json_round_trip(tmp_path):
@@ -280,12 +296,13 @@ def test_hgrid_json_round_trip(tmp_path):
     back = HermiteData.from_json_dict(json.loads(json.dumps(d)))
     assert back.grid.axes[0].coords == grid.axes[0].coords
     assert back.grid.axes[1].mult == grid.axes[1].mult
-    assert back.points == pts
     assert back.is_exact()
+    assert all(back.value(idx, k) == v and data.value(idx, k) == v
+               for idx, entries in pts.items() for k, v in entries.items())
 
     path = tmp_path / "g.hgrid"
     dump_hgrid(data, path)
-    assert load_hgrid(path).points == pts
+    assert np.array_equal(load_hgrid(path).slots, back.slots)
 
 
 def test_hgrid_points_in_any_order():
@@ -294,7 +311,7 @@ def test_hgrid_points_in_any_order():
     d["points"].reverse()
     back = HermiteData.from_json_dict(d)
     assert back.validate() == []
-    assert back.points == data.points
+    assert np.array_equal(back.slots, data.slots)
 
 
 def test_hgrid_duplicate_point_rejected():

@@ -1,6 +1,8 @@
+import itertools
 import logging
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -251,3 +253,33 @@ def test_derive_data_matches_pointwise_jets():
             want = f.derivative([x], k)[0]
             assert data.value(idx, k) == pytest.approx(want, rel=1e-12,
                                                        abs=1e-12)
+
+
+def test_benchmark_reads_of_the_data_layout():
+    # the benchmark checks sampled data through the per-order view
+    # `data.tensors` and writes its HGRID files from `points=` data; pin
+    # both, so a layout change fails here and not only in a benchmark run
+    f = builtin_function("sinmix3d")
+    grid = builtin_grid("sinmix3d", 2)
+    tensors = derive_data(f, grid).tensors
+    mesh = np.meshgrid(*[[float(c) for c in ax.coords] for ax in grid.axes],
+                       indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    assert set(tensors) == set(itertools.product(range(2), repeat=3))
+    for k, got in tensors.items():
+        assert got.shape == grid.shape
+        want = f.derivative(pts, k).reshape(grid.shape)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12), k
+
+    rng = random.Random(17)
+    for conv in (float, Fraction):
+        gs = GridSpec([Axis([conv(c) for c in (0, 1, 3)], (1, 2, 1)),
+                       Axis([conv(c) for c in (-1, 2)], 2)])
+        points = {idx: {k: conv(Fraction(rng.randint(-50, 50), 7))
+                        for k in enumerate_box(gs.order_box(idx))}
+                  for idx in gs.point_indices()}
+        data = HermiteData(gs, points=points)
+        assert data.is_exact() == (conv is Fraction)
+        for idx, entries in points.items():
+            for k, v in entries.items():
+                assert data.value(idx, k) == v

@@ -11,6 +11,7 @@ from helpers import (
     antipode,
     bilinear_poly,
     binary64_case,
+    conditions,
     digest,
     division_grid_1d,
     division_poly_1d,
@@ -180,10 +181,8 @@ def test_interpolation_conditions_exact():
         data = random_data(rng, grid)
         f = interpolate(data)
         assert f.exact
-        for idx, entries in data.points.items():
-            x = grid.coords(idx)
-            for k, t in entries.items():
-                assert f.derivative(x, k) == t
+        for idx, k, t in conditions(data):
+            assert f.derivative(grid.coords(idx), k) == t
 
 
 def test_interpolant_degree_bounds():
@@ -202,11 +201,7 @@ def test_interpolate_linearity():
     d1 = random_data(rng, grid)
     d2 = random_data(rng, grid)
     a, b = F(3, 2), F(-7, 3)
-    mix = HermiteData(grid, points={
-        idx: {k: a * d1.points[idx][k] + b * d2.points[idx][k]
-              for k in d1.points[idx]}
-        for idx in d1.points
-    })
+    mix = HermiteData(grid, slots=a * d1.slots + b * d2.slots)
     lhs = interpolate(mix).expanded(force=True)
     rhs = interpolate(d1).expanded(force=True).scale(a) \
         + interpolate(d2).expanded(force=True).scale(b)
@@ -400,10 +395,9 @@ def test_exact_derivatives_differentiate_once_per_order(monkeypatch):
     data = random_data(rng, grid)
     f = interpolate(data)
     for _ in range(3):
-        for idx, entries in data.points.items():
-            for k, t in entries.items():
-                assert f.derivative(grid.coords(idx), k) == t
-    orders = {k for entries in data.points.values() for k in entries}
+        for idx, k, t in conditions(data):
+            assert f.derivative(grid.coords(idx), k) == t
+    orders = {k for _, k, _ in conditions(data)}
     assert sorted(calls) == sorted(k for k in orders if any(k))
     # Binary64 queries never differentiate the expansion
     float(f.derivative((0.5, 0.25), (1, 2)))
@@ -539,29 +533,18 @@ def test_vandermonde_is_kronecker_of_axis_factors():
         for ax in grid.axes:
             kron = np.kron(kron, _confluent_factor(ax))
         assert kron.tolist() == rows
-        coeffs = _solve_dense(rows, [data.points[j][k] for j, k in labels])
+        coeffs = _solve_dense(rows, [data.value(j, k) for j, k in labels])
         want = {e: c for e, c in zip(exps, coeffs) if c != 0}
         assert vandermonde_interpolate(data).expanded().terms == want
         dims.add(grid.n)
     assert dims == {1, 2, 3}
 
 
-def _dense_layout(grid, values):
-    """Dense per-order tensors holding float(values[idx][k]); zero where
-    order k is not prescribed at a node."""
-    orders = {k for entries in values.values() for k in entries}
-    tensors = {k: np.zeros(grid.shape) for k in orders}
-    for idx, entries in values.items():
-        for k, v in entries.items():
-            tensors[k][idx] = float(v)
-    return HermiteData(grid, tensors=tensors)
-
-
-def test_reference_routes_accept_dense_data():
+def test_reference_routes_on_float_and_mixed_data():
     rng = random.Random(109)
     for _ in range(6):
         grid = random_grid(rng, max_conditions=64)
-        # dyadic values, so the Binary64 layouts hold them exactly
+        # dyadic values, so Binary64 holds them exactly
         values = {idx: {k: F(rng.randint(-16, 16), 4)
                         for k in enumerate_box(grid.order_box(idx))}
                   for idx in grid.point_indices()}
@@ -569,15 +552,16 @@ def test_reference_routes_accept_dense_data():
         floats = HermiteData(grid, points={
             idx: {k: float(v) for k, v in entries.items()}
             for idx, entries in values.items()})
-        dense = _dense_layout(grid, values)
-        assert dense.dense and not dense.validate()
+        # sampled data, written straight into the slot tensor
+        sampled = HermiteData(grid, slots=exact.slots.astype(float))
+        assert not sampled.validate()
         ref = interpolate(exact).expanded(force=True)
         # Vandermonde converts the values to Fractions: exact on all three
-        for d in (exact, floats, dense):
+        for d in (exact, floats, sampled):
             assert vandermonde_interpolate(d).expanded() == ref
-        # Spitzbart keeps the value type: Binary64 on both float layouts,
-        # from one condition tensor, so bit for bit equal
-        a = spitzbart_interpolate(dense).expanded()
+        # Spitzbart keeps the value type: Binary64 on both float data
+        # sets, from equal condition tensors, so bit for bit equal
+        a = spitzbart_interpolate(sampled).expanded()
         assert a == spitzbart_interpolate(floats).expanded()
         assert spitzbart_interpolate(exact).expanded() == ref
         keys = set(a.terms) | set(ref.terms)
@@ -585,6 +569,24 @@ def test_reference_routes_accept_dense_data():
         assert all(abs(a.terms.get(e, 0) - ref.terms.get(e, 0)) <= 1e-9 * top
                    for e in keys)
         assert not any(is_exact(c) for c in a.terms.values())
+
+
+def test_vandermonde_keeps_exact_values_on_float_coordinates():
+    coords = (0.0, 0.5, 2.0)
+    values = {(j,): {(k,): k + F(j + 1, 3) for k in range(2)}
+              for j in range(3)}
+    mixed = HermiteData(GridSpec((Axis(coords, 2),)), points=values)
+    assert not mixed.is_exact()
+    v = vandermonde_interpolate(mixed).expanded()
+    assert v.terms[(0,)] == F(1, 3)
+    # the same data on the equal exact coordinates
+    twin = HermiteData(GridSpec((Axis([F(c) for c in coords], 2),)),
+                       points=values)
+    assert v == spitzbart_interpolate(twin).expanded()
+    # Spitzbart on the mixed data is Binary64 and agrees to roundoff
+    spitz = spitzbart_interpolate(mixed).expanded()
+    assert all(abs(spitz.terms.get(e, 0) - c) <= 1e-12
+               for e, c in v.terms.items())
 
 
 def test_vandermonde_matches_division_remainder():

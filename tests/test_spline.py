@@ -138,8 +138,8 @@ def test_eval_at_support_points():
     s = SplineInterpolant(data, 4)
     for a in range(7):
         x = (F(a),)
-        assert s(x) == data.points[(a,)][(0,)]
-        assert s.derivative(x, (1,)) == data.points[(a,)][(1,)]
+        assert s(x) == data.value((a,), (0,))
+        assert s.derivative(x, (1,)) == data.value((a,), (1,))
 
 
 def test_interior_support_point_agrees_across_patches():
@@ -148,7 +148,7 @@ def test_interior_support_point_agrees_across_patches():
     below, above = abutting_windows(s, 0, 3)
     assert (below, above) == (1, 2)
     x = (F(3),)
-    want = data.points[(3,)][(0,)]
+    want = data.value((3,), (0,))
     assert s.local((below,))(x) == want
     assert s.local((above,))(x) == want
 
@@ -446,3 +446,34 @@ def test_derivative_batches_reject_bad_orders():
         s.eval_many([[1.5]], (1, 0))
     with pytest.raises(ValueError, match="negative"):
         s.derivative((1.5,), (-1,))
+
+
+def test_routes_and_splines_share_the_stored_tensor(monkeypatch):
+    from hermgrid import interpolant
+
+    rng = random.Random(113)
+    grid = GridSpec([Axis((0, 1, 2, 4), 2), Axis((-1, 0, 3), (1, 2, 1))])
+    data = float_data(random_data(rng, grid))
+    T = data.slots
+    before = T.copy()
+    assert interpolant.condition_tensor(data) is interpolant.condition_tensor(data)
+    seen = []
+    real = interpolant.condition_tensor
+
+    def spy(d):
+        seen.append(real(d))
+        return seen[-1]
+
+    monkeypatch.setattr(interpolant, "condition_tensor", spy)
+    interpolant.interpolate(data)
+    interpolant.spitzbart_interpolate(data)
+    interpolant.vandermonde_interpolate(data)
+    pts = np.array([[rng.uniform(0, 4), rng.uniform(-1, 3)] for _ in range(20)])
+    for s in (SplineInterpolant(data, 2), SplineInterpolant(data, (3, 2))):
+        s.eval_many(pts)
+        s.eval_many(pts, (1, 0))
+        assert not any(isinstance(v, np.ndarray) for v in vars(s).values())
+    assert len(seen) == 6 and all(t is T for t in seen)
+    with pytest.raises(ValueError, match="read-only"):
+        T[0, 0] = 1.0
+    assert np.array_equal(T, before)
