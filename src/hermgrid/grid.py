@@ -291,7 +291,11 @@ class HermiteData:
 
     @classmethod
     def from_json_dict(cls, d):
-        n = d["dims"]
+        if len(d["axes"]) != len(d["mult"]):
+            raise ValueError(f"{len(d['axes'])} coordinate lists but "
+                             f"{len(d['mult'])} multiplicity lists")
+        if d["dims"] != len(d["axes"]):
+            raise ValueError(f"dims {d['dims']} but {len(d['axes'])} axes")
         axes = [
             Axis([parse_coefficient(c) for c in coords], mult)
             for coords, mult in zip(d["axes"], d["mult"])

@@ -25,15 +25,18 @@ two references share only the condition tensor with `interpolate`: they
 use neither Lambda nor the slot functions.
 
 Evaluation keeps the factored form: the interpolant is a contraction of
-Xi with per-axis slot function values, which is numerically benign even
-at degree 29 where the expanded monomial form is unusable.  Derivatives
-are the same contraction over differentiated slot functions: one
-batched per-axis kernel, `_slot_derivatives`, serves every Binary64
-derivative (scalar `derivative`, and `eval_many`/`eval_lattice` with an
-order k) at every degree, and exact queries above the expansion limit.
-Expansion to a plain polynomial is available (and lazy) for low degrees
-and for the division algorithms; exact derivatives up to
-`EXPAND_DEGREE_LIMIT` differentiate it, once per order.
+Xi with one matrix of slot function values per axis, which is
+numerically benign even at degree 29 where the expanded monomial form is
+unusable.  Derivatives are the same contraction over differentiated slot
+functions.  One batched per-axis kernel, `_slot_jets`, gives the Taylor
+coefficients of every slot function at a vector of abscissas, in float64
+or exactly.  It serves every value and derivative of `eval_many` and
+`eval_lattice`, the spline's cardinal weights, the scalar `__call__` and
+`derivative` (a lattice of one point), and, at x = 0, the coefficient
+matrices of `expanded()`.  Expansion to a plain polynomial is available
+(and lazy) for low degrees and for the division algorithms; exact scalar
+queries up to `EXPAND_DEGREE_LIMIT` evaluate it, differentiated once per
+order.
 """
 
 from __future__ import annotations
@@ -162,7 +165,6 @@ def build_basis(grid, idx, k):
     """Basis polynomial for condition (point idx, order k) in factored
     form: product over axes of (x_i - a_i)^{k_i} H_{a_i}(x_i) / k_i!."""
     from .polyring import FactoredTerm
-    from math import factorial
 
     exact = all(_axis_exact(ax) for ax in grid.axes)
     one = Fraction(1) if exact else 1.0
@@ -207,55 +209,51 @@ def _solve_along_axis(T, axis_obj, lams, ax_i):
     return np.moveaxis(work.reshape(shp), 0, ax_i)
 
 
-def _slot_polys(axis, one=1):
-    """Expanded slot polynomials of one axis, slot order."""
-    from math import factorial
-
-    out = []
-    for j, a in enumerate(axis.coords):
-        h = nodal_basis(axis, j, one)
-        p = UniPoly(axis=0, coeffs=[one])
-        shift = UniPoly(0, [-a * one, one])
-        for t in range(axis.mult[j]):
-            out.append((h * p).scale(
-                Fraction(1, factorial(t)) if is_exact(one) else 1.0 / factorial(t)))
-            p = p * shift
-    return out
-
-
-def _slot_values_scalar(axis, x, exact):
-    vals = []
-    for j, a in enumerate(axis.coords):
-        h = Fraction(1) if exact else 1.0
-        for i, c in enumerate(axis.coords):
-            if i == j:
-                continue
-            r = Fraction(x - c, a - c) if exact else (x - c) / (a - c)
-            for _ in range(axis.mult[i]):
-                h = h * r
-        p = Fraction(1) if exact else 1.0
-        for t in range(axis.mult[j]):
-            vals.append(h * p)
-            p = p * (x - a) / (t + 1)
-    return vals
-
-
-def _slot_values_batch(axis, xs):
-    """Slot function values at a float vector of abscissas: (len(xs), m)."""
-    xs = np.asarray(xs, dtype=float)
-    cols = []
-    for j, a in enumerate(axis.coords):
-        a = float(a)
-        h = np.ones_like(xs)
-        for i, c in enumerate(axis.coords):
-            if i == j:
-                continue
-            h = h * ((xs - float(c)) / (a - float(c))) ** axis.mult[i]
-        p = np.ones_like(xs)
-        for t in range(axis.mult[j]):
-            cols.append(h * p)
-            p = p * (xs - a) / (t + 1)
-    return np.stack(cols, axis=-1)
+def _slot_jets(axis, xs, K):
+    """Taylor coefficients e^0 .. e^K, in the offset e of x + e, of every
+    slot function (x - a)^t / t! H_a(x) of one axis at a vector of
+    abscissas: (K+1, len(xs), m), slots in slot order.  Coefficient k
+    times k! is the k-th derivative; at x = 0 the coefficients are the
+    monomial ones.  A float64 xs gives float64; an object xs of Fractions
+    stays exact, float coordinates taken as their exact Fractions."""
+    exact = xs.dtype == object
+    one = Fraction(1) if exact else 1.0
+    coords = np.array([Fraction(c) if exact else float(c) for c in axis.coords],
+                      dtype=xs.dtype)[:, None]
+    # row j of h[d]: coefficient d of the nodal polynomial of node j, its
+    # factors ((x + e - c)/(a_j - c))^mult multiplied in node by node as
+    # jets truncated after e^K, by repeated products; values (K = 0) by
+    # powers.  A node's own factor is 1.
+    h = [np.full((len(coords), len(xs)), one)]
+    h += [np.full((len(coords), len(xs)), 0 * one)] * K
+    for i, (c, mult) in enumerate(zip(coords[:, 0], axis.mult)):
+        gap = coords - c
+        gap[i] = one
+        u, v = (xs - c) / gap, one / gap
+        u[i], v[i] = one, 0 * one
+        if K == 0:
+            h[0] = h[0] * u ** mult
+            continue
+        for _ in range(mult):
+            for d in range(K, 0, -1):
+                h[d] = h[d] * u + h[d - 1] * v
+            h[0] = h[0] * u
+    # slot (j, t) is h_j (x + e - a_j)^t / t! = h_j sum_q p_{t-q} e^q / q!
+    # with p_t = (x - a_j)^t / t!; the q = 0 term first keeps a -0.0
+    top = max(axis.mult)
+    out = np.empty((K + 1, len(coords), top, len(xs)), dtype=xs.dtype)
+    p = [np.full((len(coords), len(xs)), one)]
+    for t in range(top):
+        for k in range(K + 1):
+            col = h[k] * p[t]
+            for q in range(1, min(t, k) + 1):
+                col = col + h[k - q] * p[t - q] / factorial(q)
+            out[k, :, t] = col
+        p.append(p[t] * (xs - coords) / (t + 1))
+    # keep t < mult_j (node-major, order-minor is the slot order), in C
+    # order, since the contraction's summation order follows the layout
+    keep = np.arange(top) < np.array(axis.mult)[:, None]
+    return np.ascontiguousarray(out[:, keep].transpose(0, 2, 1))
 
 
 def _cardinal_weights(axis, lams, xs, order=0):
@@ -267,7 +265,7 @@ def _cardinal_weights(axis, lams, xs, order=0):
     Xi = (L_1^-1 x ... x L_n^-1) T.  Back substitution block by block,
     the transpose of `_solve_along_axis`, so at a node the value row is
     exactly one-hot."""
-    c = _slot_matrix(axis, np.asarray(xs, dtype=float), order)
+    c = factorial(order) * _slot_jets(axis, np.asarray(xs, dtype=float), order)[order]
     for off, mj, lam in zip(axis.slot_offsets(), axis.mult, lams):
         for r in range(mj - 2, -1, -1):
             col = c[:, off + r]
@@ -275,50 +273,6 @@ def _cardinal_weights(axis, lams, xs, order=0):
                 col = col - lam[q][r] * c[:, off + q]
             c[:, off + r] = col
     return c
-
-
-def _slot_derivatives(axis, xs, order):
-    """`order`-th derivative of every slot function at a vector of
-    abscissas: (len(xs), m).  Each nodal factor is carried as a Taylor
-    jet in the offset e of x + e, truncated after e^order, one array per
-    coefficient.  A float64 xs gives float64; an object xs of Fractions
-    stays exact."""
-    exact = xs.dtype == object
-    one = Fraction(1) if exact else 1.0
-    coords = [c * one for c in axis.coords]
-    zero = xs * 0
-    cols = []
-    for j, a in enumerate(coords):
-        hj = [zero + one] + [zero] * order
-        for i, c in enumerate(coords):
-            if i == j:
-                continue
-            # ((x + e - c)/(a - c))^mult as repeated truncated products
-            u, v = (xs - c) / (a - c), one / (a - c)
-            for _ in range(axis.mult[i]):
-                for d in range(order, 0, -1):
-                    hj[d] = hj[d] * u + hj[d - 1] * v
-                hj[0] = hj[0] * u
-        # slot t is hj (x + e - a)^t / t!; its e^order coefficient times
-        # order! is the derivative
-        powers = [zero + one]
-        for _ in range(1, axis.mult[j]):
-            powers.append(powers[-1] * (xs - a))
-        for t in range(axis.mult[j]):
-            col = zero
-            for q in range(min(t, order) + 1):
-                col = col + comb(t, q) * powers[t - q] * hj[order - q]
-            scale = Fraction(factorial(order), factorial(t))
-            cols.append(col * (scale if exact else float(scale)))
-    return np.stack(cols, axis=-1)
-
-
-def _slot_matrix(axis, xs, order):
-    """Slot function derivatives of one order at xs: (len(xs), m).  Float
-    values stay on `_slot_values_batch`, so no value moves."""
-    if order == 0 and xs.dtype != object:
-        return _slot_values_batch(axis, xs)
-    return _slot_derivatives(axis, xs, order)
 
 
 def check_order(n, k):
@@ -352,16 +306,13 @@ def _to_multipoly(C):
                               for e in np.ndindex(C.shape) if C[e] != 0})
 
 
-def _contract(xi, vecs):
-    return _mode_products(xi, [np.asarray(v, dtype=xi.dtype) for v in vecs])[()]
-
-
 class HermiteInterpolant:
     """The unique matching polynomial, held in factored form.
 
     `xi` is the coefficient tensor over per-axis slots; evaluation
-    contracts it with slot function values.  `expanded()` converts to a
-    plain polynomial (cached); automatic only below the degree limit.
+    contracts it with one matrix of slot function values (or derivatives)
+    per axis, all from `_slot_jets`.  `expanded()` converts to a plain
+    polynomial (cached); automatic only below the degree limit.
 
     The reference constructions return the same object backed by an
     already-expanded polynomial instead of a slot tensor (xi is None
@@ -394,19 +345,7 @@ class HermiteInterpolant:
         return self._xi_float
 
     def __call__(self, x):
-        if len(x) != self.grid.n:
-            raise ValueError("point dimension mismatch")
-        ex = self.exact and all(is_exact(v) for v in x)
-        if self.xi is None:
-            p = self._expanded
-            return p(tuple(x)) if ex else float(p(tuple(float(v) for v in x)))
-        vecs = [
-            _slot_values_scalar(ax, v if ex else float(v), ex)
-            for ax, v in zip(self.grid.axes, x)
-        ]
-        if ex:
-            return _contract(self.xi, vecs)
-        return float(_contract(self._float_xi(), vecs))
+        return self.derivative(x, (0,) * self.grid.n)
 
     def eval_many(self, pts, k=None):
         """Binary64 evaluation at an (npoints, n) array; with k, the
@@ -424,8 +363,8 @@ class HermiteInterpolant:
             return np.array([float(p(tuple(row))) for row in pts])
         orders = k or (0,) * n
         ops = [self._float_xi(), list(range(n))]
-        for i, ax in enumerate(self.grid.axes):
-            ops += [_slot_matrix(ax, pts[:, i], orders[i]), [n, i]]
+        for i, (ax, e) in enumerate(zip(self.grid.axes, orders)):
+            ops += [factorial(e) * _slot_jets(ax, pts[:, i], e)[e], [n, i]]
         ops.append([n])
         return np.einsum(*ops, optimize=True)
 
@@ -449,40 +388,35 @@ class HermiteInterpolant:
             out = self._float_xi()
             axes_vals = [np.asarray(xs, dtype=float) for xs in axes_vals]
         for ax, xs, e in zip(self.grid.axes, axes_vals, orders):
-            out = np.tensordot(out, _slot_matrix(ax, xs, e), axes=([0], [1]))
+            out = np.tensordot(out, factorial(e) * _slot_jets(ax, xs, e)[e],
+                               axes=([0], [1]))
         return out
 
     def derivative(self, x, k):
-        """Mixed partial of order k at point x.
+        """Mixed partial of order k at point x (the value when k is zero;
+        `__call__` is this with k = 0).
 
-        Binary64 queries, at any degree, contract the slot tensor with
-        per-axis slot derivatives (`_slot_derivatives` on one row), which
-        never leaves the well-scaled factored form.  Exact queries go
-        through the expanded polynomial, differentiated once per order,
-        up to `EXPAND_DEGREE_LIMIT`, and through the same exact kernel
-        above it.  Polynomial-backed interpolants always use their
-        polynomial.
+        Exact queries up to `EXPAND_DEGREE_LIMIT` go through the expanded
+        polynomial, differentiated once per order; polynomial-backed
+        interpolants always use their polynomial.  Every other query is
+        `eval_lattice` on one-point axes: Binary64 at any degree, which
+        never leaves the well-scaled factored form, and exact above the
+        limit.
         """
         if len(x) != self.grid.n:
             raise ValueError("point dimension mismatch")
         check_order(self.grid.n, k)
-        if not any(k):
-            return self(x)
         ex = self.exact and all(is_exact(v) for v in x)
         if self.xi is None or (ex and self.max_degree <= EXPAND_DEGREE_LIMIT):
             p = self._differentiated(k)
             return p(tuple(x)) if ex else float(p(tuple(float(v) for v in x)))
-        rows = [np.array([Fraction(v) if ex else float(v)],
-                         dtype=object if ex else float) for v in x]
-        vecs = [_slot_matrix(ax, r, e)[0]
-                for ax, r, e in zip(self.grid.axes, rows, k)]
-        if ex:
-            return _contract(self.xi, vecs)
-        return float(_contract(self._float_xi(), vecs))
+        return self.eval_lattice([[v] for v in x], k).item()
 
     def _differentiated(self, k):
         """The expanded polynomial differentiated to order k, cached."""
         k = tuple(k)
+        if not any(k):
+            return self.expanded()
         p = self._derivs.get(k)
         if p is None:
             p = self._derivs[k] = self.expanded().differentiate(k)
@@ -494,8 +428,9 @@ class HermiteInterpolant:
         if self.max_degree > EXPAND_DEGREE_LIMIT and not force:
             raise ValueError(
                 f"degree {self.max_degree} interpolant: expansion must be forced")
-        one = Fraction(1) if self.exact else 1.0
-        mats = [_coefficient_matrix(_slot_polys(ax, one), ax.condition_count, one)
+        # Taylor coefficients at 0: row s holds slot s's monomials
+        origin = np.array([Fraction(0)], dtype=object) if self.exact else np.zeros(1)
+        mats = [_slot_jets(ax, origin, ax.condition_count - 1)[:, 0, :].T
                 for ax in self.grid.axes]
         self._expanded = _to_multipoly(_mode_products(self.xi, mats))
         return self._expanded

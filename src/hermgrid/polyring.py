@@ -204,9 +204,6 @@ class MultiPoly:
     def deg(self, i):
         return max((e[i] for e in self.terms), default=-1)
 
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=-1)
-
     def __eq__(self, other):
         return (isinstance(other, MultiPoly) and self.n == other.n
                 and self.terms == other.terms)

@@ -7,12 +7,13 @@ random.Random so tests stay reproducible.
 import hashlib
 import random
 from fractions import Fraction as F
+from math import factorial
 
 import numpy as np
 
-from hermgrid.grid import Axis, GridSpec, HermiteData
+from hermgrid.grid import Axis, GridSpec, HermiteData, nodal_basis
 from hermgrid.multiindex import enumerate_box
-from hermgrid.polyring import MultiPoly
+from hermgrid.polyring import MultiPoly, UniPoly
 
 
 def mpow(p, e):
@@ -252,6 +253,20 @@ def random_mpoly(rng, n, max_deg=8, max_terms=10):
             budget -= e[i]
         terms[tuple(e)] = rand_fraction(rng)
     out = MultiPoly(n, {e: c for e, c in terms.items() if c})
+    return out
+
+
+def slot_polys(axis):
+    """Exact expanded slot polynomials (x - a)^t / t! H_a(x) of one axis,
+    in slot order (node-major, order-minor), built from `nodal_basis`."""
+    out = []
+    for j, (a, m) in enumerate(zip(axis.coords, axis.mult)):
+        h = nodal_basis(axis, j, F(1))
+        shift = UniPoly(0, [-F(a), F(1)])
+        power = UniPoly(0, [F(1)])
+        for t in range(m):
+            out.append((h * power).scale(F(1, factorial(t))))
+            power = power * shift
     return out
 
 

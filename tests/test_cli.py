@@ -268,6 +268,18 @@ def test_data_errors_name_the_problem(tmp_path, capsys):
     assert "point (1, 1): missing (1, 1)" in err
 
 
+def test_data_with_inconsistent_axis_records_exits_2(tmp_path, capsys):
+    good = ones_data(unit_square_nu2()).to_json_dict()
+    for key, value, message in (("dims", 3, "dims 3 but 2 axes"),
+                                ("mult", good["mult"][:1], "multiplicity lists")):
+        record = dict(good, **{key: value})
+        path = tmp_path / f"bad_{key}.json"
+        path.write_text(json.dumps(record))
+        rc, _, err = run_cli(capsys, ["verify", str(path)])
+        assert rc == 2, key
+        assert message in err
+
+
 # -- divide -----------------------------------------------------------------
 
 def test_divide_reproduces_the_cascade(tmp_path, capsys):

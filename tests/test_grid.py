@@ -322,6 +322,20 @@ def test_hgrid_duplicate_point_rejected():
         HermiteData.from_json_dict(d)
 
 
+def test_hgrid_dims_must_match_the_axes():
+    d = ones_data(unit_square_nu2()).to_json_dict()
+    d["dims"] = 5
+    with pytest.raises(ValueError, match="dims 5 but 2 axes"):
+        HermiteData.from_json_dict(d)
+
+
+def test_hgrid_axes_and_mult_lists_must_match():
+    d = ones_data(unit_square_nu2()).to_json_dict()
+    d["mult"] = d["mult"][:1]
+    with pytest.raises(ValueError, match="2 coordinate lists but 1 multiplicity"):
+        HermiteData.from_json_dict(d)
+
+
 def test_hgrid_binary64_values():
     d = {
         "dims": 1,

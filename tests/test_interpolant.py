@@ -17,9 +17,11 @@ from helpers import (
     division_poly_1d,
     float_data,
     mp,
+    random_axis,
     random_data,
     random_grid,
     sample_poly_data,
+    slot_polys,
     trilinear_poly,
     unit_square_nu2,
 )
@@ -27,9 +29,9 @@ from hermgrid.grid import Axis, GridSpec, HermiteData
 from hermgrid.interpolant import (
     HermiteInterpolant,
     build_basis,
+    EXPAND_DEGREE_LIMIT,
     _confluent_factor,
-    _slot_derivatives,
-    _slot_polys,
+    _slot_jets,
     build_lambda,
     interpolate,
     lambda_inverse,
@@ -294,16 +296,69 @@ def test_derivative_high_degree_factored_path():
 def test_slot_derivatives_match_differentiated_slot_polynomials():
     ax = Axis((F(-1), F(1, 2), F(2)), (2, 3, 1))
     xs = [F(1, 3), F(-5, 7), F(2)]
-    polys = _slot_polys(ax, F(1))
+    polys = slot_polys(ax)
+    exact = _slot_jets(ax, np.array(xs, dtype=object), 7)
+    assert exact.shape == (8, 3, 6)
     for order in range(8):
         want = [[p.differentiate(order)(x) for p in polys] for x in xs]
-        exact = _slot_derivatives(ax, np.array(xs, dtype=object), order)
-        assert exact.shape == (3, 6)
-        assert exact.tolist() == want
-        approx = _slot_derivatives(ax, np.array([float(x) for x in xs]), order)
-        assert approx.dtype == float
-        assert np.allclose(approx, np.array(want, dtype=float),
-                           rtol=1e-13, atol=1e-13)
+        assert (factorial(order) * exact[order]).tolist() == want
+        approx = _slot_jets(ax, np.array([float(x) for x in xs]), order)
+        assert approx.dtype == float and approx.shape == (order + 1, 3, 6)
+        assert np.allclose(factorial(order) * approx[order],
+                           np.array(want, dtype=float), rtol=1e-13, atol=1e-13)
+
+
+def test_slot_jets_are_the_taylor_coefficients_of_the_slot_polynomials():
+    # exact orders 0..m-1 at random rational x and at 0 (where they are
+    # the monomial coefficients), and Binary64 orders 1-3 against them
+    rng = random.Random(113)
+    for _ in range(25):
+        ax = random_axis(rng, max_pts=5)
+        m = ax.condition_count
+        polys = slot_polys(ax)
+        xs = [F(rng.randint(-60, 60), rng.randint(1, 9)) for _ in range(4)]
+        top = max(m - 1, 3)
+        exact = _slot_jets(ax, np.array(xs + [F(0)], dtype=object), top)
+        for k in range(top + 1):
+            want = [[p.differentiate(k)(x) / factorial(k) for p in polys]
+                    for x in xs]
+            assert exact[k, :4].tolist() == want
+        padded = [p.coeffs + [0] * (m - len(p.coeffs)) for p in polys]
+        assert exact[:m, 4].T.tolist() == padded
+        for K in (1, 2, 3):
+            approx = _slot_jets(ax, np.array([float(x) for x in xs]), K)
+            want = exact[:K + 1, :4].astype(float)
+            assert np.all(np.abs(approx - want)
+                          <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+def test_exact_scalar_queries_above_the_expansion_limit():
+    rng = random.Random(127)
+    grid = GridSpec((Axis(tuple(F(v, 2) for v in range(-3, 3)), 3),
+                     Axis((F(-1), F(2)), 2)))
+    assert grid.axes[0].condition_count - 1 > EXPAND_DEGREE_LIMIT
+    data = random_data(rng, grid)
+    f = interpolate(data)
+    for idx, k, t in conditions(data):
+        x = grid.coords(idx)
+        assert f.derivative(x, k) == t
+        if not any(k):
+            assert f(x) == t
+    assert f._expanded is None
+
+
+def test_value_is_the_zero_order_derivative_on_every_route():
+    rng = random.Random(131)
+    grid = GridSpec((Axis((F(0), F(1), F(3)), 2), Axis((F(-1), F(2)), (3, 1))))
+    data = random_data(rng, grid)
+    zero = (0, 0)
+    routes = [interpolate(data), interpolate(float_data(data)),
+              spitzbart_interpolate(data), vandermonde_interpolate(data)]
+    for f in routes:
+        for _ in range(5):
+            x = tuple(F(rng.randint(-9, 9), 4) for _ in range(2))
+            for point in (x, tuple(float(v) for v in x)):
+                assert f(point) == f.derivative(point, zero)
 
 
 def test_binary64_derivatives_match_exact_at_rational_points():
